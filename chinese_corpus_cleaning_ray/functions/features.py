@@ -95,9 +95,11 @@ class FeatureWordsScorer:
             "avg_per_line": avg,
         }
 
-    def get_feature_score(self, text: str, matched: list[str] | None = None) -> float:
+    def get_feature_score(self, text: str, matched: list[str] | None = None,
+                          lowered: str | None = None) -> float:
         """ref:feature_words.py:231-314. ``matched`` lets callers reuse the
-        detect() result from check_feature_words (the reference recomputes)."""
+        detect() result from check_feature_words (the reference recomputes);
+        ``lowered`` is ``text.lower()`` when the caller already has it."""
         if not text:
             return 0.0
         if matched is None:
@@ -107,9 +109,10 @@ class FeatureWordsScorer:
                 matched = self.dfa.detect(text)
             else:
                 matched = [w for _, w in self.ac.search(text)]
+        if lowered is None:
+            lowered = text.lower()
         n = len(text)
         unique_adjusted = sum(1 for w in set(matched) if w not in COMMON_WORDS)
-        lowered = text.lower()
         high_weight = sum(3 for kw in HIGH_WEIGHT_KEYWORDS if kw in lowered)
         adjusted = unique_adjusted + high_weight
         ratio = adjusted / (n / 10) if n > 0 else 1.0
@@ -131,37 +134,46 @@ class FeatureWordsScorer:
         return score
 
     def evaluate(self, text: str, scrub: bool = True) -> dict:
-        """Fused check + score (+ scrub): ONE detect pass over the lines
-        serves both the whole-text match list and the per-line counts —
-        value-identical to check_feature_words + get_feature_score because a
-        match can never span a newline (no word contains ``\\n``), so
-        detect(text) ≡ concat(detect(line) for line). The reference scans
-        three times (ref:feature_words.py:177,190 then the score's re-detect);
-        this fused form is the engine's hot path (asserted equal in tests)."""
+        """Fused check + score (+ scrub) over ONE trie walk of ``text.lower()``
+        — value-identical to the per-line form (detect on every non-blank
+        line for the numerator and the score's matches, ``filter`` for the
+        scrub; asserted in tests). The reference scans three times
+        (ref:feature_words.py:177,190 then the score's re-detect).
+
+        Why one whole-text walk gives the per-line matches: ``str.lower`` maps
+        each line the same inside the text as alone (``\\n`` is neither cased
+        nor case-ignorable, so it ends the final-sigma context), and a walk
+        only crosses a ``\\n`` inside a match or a failed attempt. So unless a
+        match holds a ``\\n`` (possible only with an injected word containing
+        one), the whole-text matches are the concatenated per-line matches. A
+        blank line holds no match (words are stripped, and no whitespace
+        character changes under ``lower``), so the numerator over non-blank
+        lines is ``len(matches)``; rows with no match skip the line split. A
+        match holding ``\\n`` is the one fallback: that row recomputes its
+        matches with the per-line detect."""
+        lowered = text.lower()
+        scrubbed, hits = self.dfa.scan(lowered)
         if self.use_dfa and self.words:
-            matched: list[str] = []
-            num = 0
-            denom = 0
-            detect = self.dfa.detect
-            for line in text.split("\n"):
-                stripped = line.strip()
-                if stripped:
-                    found = detect(line)
-                    matched.extend(found)
-                    num += len(found)
-                if len(stripped) >= 5:
-                    denom += 1
-            avg = num / denom if denom > 0 else 0.0
+            matched = hits
+            if any("\n" in w for w in hits):
+                matched = [w for line in text.split("\n") if line.strip()
+                           for w in self.dfa.detect(line)]
+            avg = 0.0
+            if matched:
+                # denominator: lines with stripped length >= 5 — ref:feature_words.py:201-205
+                denom = sum(1 for line in text.split("\n") if len(line.strip()) >= 5)
+                if denom > 0:
+                    avg = len(matched) / denom
             passed = avg <= self.cfg.max_feature_words_per_line
         else:
             passed, details = self.check_feature_words(text)
             matched = details["feature_words"]
-        score = self.get_feature_score(text, matched=matched)
         out = {
             "feature_pass": passed,
-            "feature_score": score,
+            "feature_score": self.get_feature_score(text, matched=matched, lowered=lowered),
             "feature_count": len(matched),
         }
         if scrub:
-            out["scrubbed_text"] = self.dfa.filter(text)
+            out["scrubbed_text"] = scrubbed
+            out["sensitive_count"] = len(hits)
         return out

@@ -22,11 +22,15 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 from chinese_corpus_cleaning_ray.config import LangIdConfig
 from chinese_corpus_cleaning_ray.functions.textclean import clean_text_ws
 
 _ZH_RE = re.compile(r"[一-鿿]")
 _LATIN_RE = re.compile(r"[A-Za-z]")
+# predict_batch's lang labels, indexed by und / zh / other
+_LANGS = np.array(["und", "zh", "other"], dtype=object)
 
 
 class HeuristicLangId:
@@ -51,26 +55,30 @@ class HeuristicLangId:
         is_zh = lang == "zh" and conf >= self.cfg.threshold
         return (lang, conf, is_zh)
 
-    def predict_batch(self, texts: list[str], arrow_col=None) -> dict[str, list]:
+    def predict_batch(self, texts: list[str], arrow_col=None, zh=None) -> dict:
         """Vectorized batch path, value-identical to ``predict`` (asserted in
         tests): the cleaned-empty guard is redundant in batch form because a
         cleaned-empty text necessarily has zh+latin == 0, and both branches
-        return ("und", 0.0, False)."""
-        import numpy as np
+        return ("und", 0.0, False). ``zh`` is the per-row CJK count when the
+        caller already has it (``rules.cjk_counts``); outputs are numpy
+        arrays (object ``lang``, float64 ``lang_conf``, bool ``is_zh``)."""
         import pyarrow as pa
         import pyarrow.compute as pc
 
+        from chinese_corpus_cleaning_ray.functions.rules import cjk_counts
+
         arr = arrow_col if arrow_col is not None else pa.array(texts, pa.large_string())
         n = pc.utf8_length(arr).to_numpy(zero_copy_only=False)
-        zh = pc.count_substring_regex(arr, "[一-鿿]").to_numpy(zero_copy_only=False).astype(np.float64)
+        if zh is None:
+            zh = cjk_counts(arr)
         lat = pc.count_substring_regex(arr, "[A-Za-z]").to_numpy(zero_copy_only=False).astype(np.float64)
         base = zh + lat
         valid = (n >= 10) & (base > 0)
         conf = np.where(valid, zh / np.where(base > 0, base, 1.0), 0.0)
         majority = conf >= self.cfg.zh_majority
-        lang = np.where(~valid, "und", np.where(majority, "zh", "other"))
+        lang = _LANGS[np.where(~valid, 0, np.where(majority, 1, 2))]
         is_zh = valid & majority & (conf >= self.cfg.threshold)
-        return {"lang": lang.tolist(), "lang_conf": conf.tolist(), "is_zh": is_zh.tolist()}
+        return {"lang": lang, "lang_conf": conf, "is_zh": is_zh}
 
 
 class FastTextLangId:

@@ -43,6 +43,9 @@ EMOJI_RE = re.compile(
     r"\U0001F900-\U0001F9FF\U0001FA00-\U0001FA6F\U0001FA70-\U0001FAFF"
     r"\U00002702-\U000027B0\U000024C2-\U0001F251]+"
 )
+# Every run of non-CJK characters, deleted before ``utf8_length`` to count
+# the CJK ideographs of CHINESE_RE in two plain C passes (see cjk_counts).
+NON_CJK_RE2_PATTERN = "[^一-鿿]+"
 # RE2 variant for pyarrow kernels: RE2 has no \UXXXXXXXX escape, so the class
 # is spelled with literal characters (non-raw string → Python decodes them).
 EMOJI_RE2_PATTERN = (
@@ -218,12 +221,29 @@ def evaluate_rules(text: str, cfg: RuleConfig) -> dict:
     }
 
 
-def evaluate_rules_arrow(texts: list[str], cfg: RuleConfig, arrow_col=None) -> dict:
+def cjk_counts(arr):
+    """Per-row ``len(CHINESE_RE.findall(text))`` over an Arrow string column,
+    as float64: delete the non-CJK runs, then count the codepoints left. Equal
+    to the RE2 count ``count_substring_regex(arr, "[一-鿿]")`` on every
+    codepoint (tests/test_single_walk.py) and several times cheaper, because RE2
+    pays a match setup per CJK character and this pays one per run."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    kept = pc.replace_substring_regex(arr, NON_CJK_RE2_PATTERN, "")
+    return pc.utf8_length(kept).to_numpy(zero_copy_only=False).astype(np.float64)
+
+
+def evaluate_rules_arrow(texts: list[str], cfg: RuleConfig, arrow_col=None,
+                         zh=None) -> dict:
     """Arrow/numpy-vectorized batch evaluation — semantically identical to the
     scalar path (asserted over the full fixture mix in tests/test_rules.py).
 
     Vectorization notes:
-    - zh / url / emoji / SEO-spam counts run through pyarrow's RE2 kernels.
+    - ``zh`` is the per-row CJK count (``cjk_counts``); the langid+rules
+      stage computes it once and passes it to langid and here. When absent
+      it is computed here.
+    - url / emoji / SEO-spam counts run through pyarrow's RE2 kernels.
       The character classes used are RE2↔Python-re equivalent (plain ranges;
       alternation is leftmost-first in both; verified against DuckDB's RE2 in
       tests/test_driver_contract.py). The SYMBOL class ``[^\\w\\s一-鿿]`` relies
@@ -244,7 +264,8 @@ def evaluate_rules_arrow(texts: list[str], cfg: RuleConfig, arrow_col=None) -> d
 
     arr = arrow_col if arrow_col is not None else pa.array(texts, pa.large_string())
     n = pc.utf8_length(arr).to_numpy(zero_copy_only=False).astype(np.float64)
-    zh = pc.count_substring_regex(arr, "[一-鿿]").to_numpy(zero_copy_only=False).astype(np.float64)
+    if zh is None:
+        zh = cjk_counts(arr)
     vbar = pc.count_substring(arr, "|").to_numpy(zero_copy_only=False).astype(np.float64)
     comma = pc.count_substring(arr, ",").to_numpy(zero_copy_only=False).astype(np.float64)
     url = pc.count_substring_regex(arr, URL_RE.pattern).to_numpy(zero_copy_only=False).astype(np.float64)

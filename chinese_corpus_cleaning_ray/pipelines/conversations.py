@@ -24,6 +24,14 @@ import pandas as pd
 import pyarrow as pa
 
 
+def _select_renamed(table: pa.Table, names: dict[str, str]) -> pa.Table:
+    """``table``'s columns named by ``names``' keys, in that order, renamed
+    to its values. pyarrow's aggregate output order (keys first or
+    aggregates first) differs across versions, so aggregate outputs are
+    relabelled by name, never by position; a missing name raises."""
+    return table.select(list(names)).rename_columns(list(names.values()))
+
+
 def conversation_stats(ds):
     """One row per conv_id: n_turns, n_roles, total_chars, first_ts, last_ts
     (epoch us). Partial-aggregation inside each batch → tiny groupby."""
@@ -78,7 +86,8 @@ def topk_per_group(ds, group_col: str, key_col: str, k: int = 3):
         agg = (batch.select([group_col, key_col])
                .group_by([group_col, key_col], use_threads=False)
                .aggregate([([], "count_all")]))
-        return agg.rename_columns([group_col, key_col, "n"])
+        return _select_renamed(agg, {group_col: group_col, key_col: key_col,
+                                     "count_all": "n"})
 
     counts = (
         ds.map_batches(partials, batch_format="pyarrow")
@@ -872,7 +881,8 @@ def conversation_language_profile(ds, lang_col: str = "lang",
         agg = (batch.select(["conv_id", lang_col])
                .group_by(["conv_id", lang_col], use_threads=False)
                .aggregate([([], "count_all")]))
-        return agg.rename_columns(["conv_id", lang_col, "n"])
+        return _select_renamed(agg, {"conv_id": "conv_id", lang_col: lang_col,
+                                     "count_all": "n"})
 
     counts = (
         ds.map_batches(partials, batch_format="pyarrow")
@@ -1335,8 +1345,9 @@ def corpus_profile(ds, text_col: str = "text"):
         agg = (t.group_by(["conv_id", "role"], use_threads=False)
                .aggregate([("chars", "count"), ("chars", "sum"),
                            ("turn_idx", "max")]))
-        return agg.rename_columns(
-            ["conv_id", "role", "n", "chars", "max_turn"])
+        return _select_renamed(agg, {
+            "conv_id": "conv_id", "role": "role", "chars_count": "n",
+            "chars_sum": "chars", "turn_idx_max": "max_turn"})
 
     rows = (
         ds.map_batches(partials, batch_format="pyarrow")

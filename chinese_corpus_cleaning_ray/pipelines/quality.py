@@ -131,10 +131,8 @@ def quality_counters(ds, by: str | None = None):
             "errors": pc.cast(batch.column("rule_error"), pa.int64()),
         }
         if "sensitive_count" in batch.column_names:
-            import pyarrow.compute as pc2
-
-            out["scrubbed"] = pc2.cast(
-                pc2.greater(batch.column("sensitive_count"), 0), pa.int64()
+            out["scrubbed"] = pc.cast(
+                pc.greater(batch.column("sensitive_count"), 0), pa.int64()
             )
         cols = [batch.column(by)] if by else []
         names = ([by] if by else []) + list(out.keys())

@@ -3,14 +3,20 @@
 Stage layout (SURVEY §3 rebuild lifecycle):
 
 1. ``make_langid_rules_fn``  — STATELESS task stage: language-ID heuristic +
-   the 9 rule checks + weighted rule score, one pass per row. The reference
-   runs these in a sequential driver loop (ref:main.py:280); here they are a
-   ``map_batches`` transform over zero-copy Arrow batches.
+   the 9 rule checks + weighted rule score, one pass per row; the CJK count
+   both need is taken once per batch. The reference runs these in a
+   sequential driver loop (ref:main.py:280); here they are a ``map_batches``
+   transform over zero-copy Arrow batches.
 2. ``FeatureScrubStage``     — ACTOR-POOL stage: DFA trie built once per actor
    (43k-word production lists take ~1 s to build — ref:sensitive_filter.py:46-70
    loads per process; we amortize per actor), emits feature check/score and the
-   byte-exact scrubbed text (EP2's two passes — ref:process_documents.py:40-59 —
-   fused into one).
+   byte-exact scrubbed text from ONE lowercase and ONE trie walk per turn
+   (EP2's two passes — ref:process_documents.py:40-59 — and the feature
+   check's per-line detect all fused into ``FeatureWordsScorer.evaluate``).
+
+In the checkpointed job (``state.checkpoint.FusedQualityWriteStage``) stages
+1, 2 and 4 run inside one operator over each block, sharing one decoded
+``text`` list (stages 1 and 2 take it as ``texts=``).
 3. ``PplStage``              — ACTOR-POOL stage: n-gram LM loaded once per
    actor (A6/A7 — ref:lmppl_perplexity.py:26-40 loads GPT-2 in __init__).
 4. ``make_score_fn``         — STATELESS: weight-normalized composite quality
@@ -31,7 +37,7 @@ from chinese_corpus_cleaning_ray.config import PipelineConfig
 from chinese_corpus_cleaning_ray.functions.features import FeatureWordsScorer
 from chinese_corpus_cleaning_ray.functions.langid import make_langid
 from chinese_corpus_cleaning_ray.functions.ngram_lm import NgramModel, PerplexityScorer
-from chinese_corpus_cleaning_ray.functions.rules import evaluate_rules_arrow
+from chinese_corpus_cleaning_ray.functions.rules import cjk_counts, evaluate_rules_arrow
 from chinese_corpus_cleaning_ray.functions.wordlists import load_words
 
 
@@ -41,19 +47,23 @@ def _texts(batch: pa.Table) -> list[str]:
 
 
 def make_langid_rules_fn(cfg: PipelineConfig):
-    """Stateless batch fn: lang/lang_conf/is_zh + rule_* columns."""
+    """Stateless batch fn: lang/lang_conf/is_zh + rule_* columns. The CJK
+    count both halves need is computed once per batch (``cjk_counts``).
+    ``texts`` is the decoded ``text`` column when the caller has it."""
 
-    def langid_rules(batch: pa.Table) -> pa.Table:
-        texts = _texts(batch)
+    def langid_rules(batch: pa.Table, texts: list[str] | None = None) -> pa.Table:
+        if texts is None:
+            texts = _texts(batch)
         col = batch.column("text")
+        zh = cjk_counts(col)
         if cfg.enable_langid:
             lid = make_langid(cfg.langid)  # heuristic: construction is free
-            lres = lid.predict_batch(texts, arrow_col=col)
+            lres = lid.predict_batch(texts, arrow_col=col, zh=zh)
             batch = batch.append_column("lang", pa.array(lres["lang"], pa.string()))
             batch = batch.append_column("lang_conf", pa.array(lres["lang_conf"], pa.float64()))
             batch = batch.append_column("is_zh", pa.array(lres["is_zh"], pa.bool_()))
         if cfg.enable_rule_filter:
-            rb = evaluate_rules_arrow(texts, cfg.rule, arrow_col=col)
+            rb = evaluate_rules_arrow(texts, cfg.rule, arrow_col=col, zh=zh)
             batch = batch.append_column("rule_pass", pa.array(rb["rule_pass"]))
             batch = batch.append_column("rule_score", pa.array(rb["rule_score"], pa.float64()))
             batch = batch.append_column("rule_error", pa.array(rb["rule_error"]))
@@ -63,7 +73,9 @@ def make_langid_rules_fn(cfg: PipelineConfig):
 
 
 class FeatureScrubStage:
-    """Actor-pool stage: one DFA trie + feature scorer per actor.
+    """Actor-pool stage: one DFA trie + feature scorer per actor. Each turn
+    costs one ``FeatureWordsScorer.evaluate`` call: one lowercase and one
+    trie walk serve the feature check, the score and the scrub.
 
     ``words`` may be a plain list, a ``ray.ObjectRef`` to one (broadcast via
     ``ray.put`` on the driver — preferred for large production lists so the
@@ -83,38 +95,27 @@ class FeatureScrubStage:
         self.cfg = cfg
         self.scorer = FeatureWordsScorer(list(words), cfg.feature)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cfg = self.cfg
-        texts = _texts(batch)
-        n = len(texts)
-        f_pass = [False] * n
-        f_score = [0.0] * n
-        f_count = [0] * n
-        scrubbed = [""] * n
-        s_count = [0] * n
-        sc = self.scorer
-        dfa = sc.dfa
-        do_feat = cfg.enable_feature_words
-        do_scrub = cfg.enable_scrub
-        for i, text in enumerate(texts):
-            if do_feat:
-                r = sc.evaluate(text, scrub=do_scrub)
-                f_pass[i] = r["feature_pass"]
-                f_score[i] = r["feature_score"]
-                f_count[i] = r["feature_count"]
-                if do_scrub:
-                    scrubbed[i] = r["scrubbed_text"]
-                    s_count[i] = r["feature_count"]
-            elif do_scrub:
-                scrubbed[i] = dfa.filter(text)
-                s_count[i] = len(dfa.detect(text))
+    def __call__(self, batch: pa.Table, texts: list[str] | None = None) -> pa.Table:
+        do_feat = self.cfg.enable_feature_words
+        do_scrub = self.cfg.enable_scrub
+        if not (do_feat or do_scrub):
+            return batch
+        if texts is None:
+            texts = _texts(batch)
+        evaluate = self.scorer.evaluate
+        rows = [evaluate(text, scrub=do_scrub) for text in texts]
         if do_feat:
-            batch = batch.append_column("feature_pass", pa.array(f_pass, pa.bool_()))
-            batch = batch.append_column("feature_score", pa.array(f_score, pa.float64()))
-            batch = batch.append_column("feature_count", pa.array(f_count, pa.int32()))
+            batch = batch.append_column(
+                "feature_pass", pa.array([r["feature_pass"] for r in rows], pa.bool_()))
+            batch = batch.append_column(
+                "feature_score", pa.array([r["feature_score"] for r in rows], pa.float64()))
+            batch = batch.append_column(
+                "feature_count", pa.array([r["feature_count"] for r in rows], pa.int32()))
         if do_scrub:
-            batch = batch.append_column("scrubbed_text", pa.array(scrubbed, pa.string()))
-            batch = batch.append_column("sensitive_count", pa.array(s_count, pa.int32()))
+            batch = batch.append_column(
+                "scrubbed_text", pa.array([r["scrubbed_text"] for r in rows], pa.string()))
+            batch = batch.append_column(
+                "sensitive_count", pa.array([r["sensitive_count"] for r in rows], pa.int32()))
         return batch
 
 

@@ -56,6 +56,11 @@ PART_COL = "part_id"
 # "perplexity histograms"); the last bin is open-ended
 PPL_BIN_EDGES = [0.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 5000.0, 10000.0]
 
+# how long a non-exclusive writer waits for a peer's stats.json lock before
+# raising TimeoutError (a lock older than 60 s is a crashed holder's and is
+# broken)
+STATS_LOCK_TIMEOUT_S = 30.0
+
 
 def conv_partition_ids(conv_ids: list[str], num_partitions: int) -> list[int]:
     return [zlib.crc32(c.encode("utf-8")) % num_partitions for c in conv_ids]
@@ -143,26 +148,20 @@ def make_piece_writer(data_dir: str, keep_text: bool):
     task — no shuffle; tmp-then-rename per piece for atomicity."""
 
     def write_pieces(batch: pa.Table) -> pa.Table:
-        import numpy as np
-        import pyarrow.compute as pc  # noqa: F401 (kept for future kernels)
+        import pyarrow.compute as pc
         import pyarrow.parquet as pq
 
-        paths = batch.column("path").to_pylist()
-        stems = [_stem(p) for p in paths]
-        batch = batch.drop_columns(["path"])
         if not keep_text and "text" in batch.column_names:
             batch = batch.drop_columns(["text"])
-
-        order = np.lexsort(
-            (
-                batch.column("turn_idx").to_numpy(zero_copy_only=False),
-                np.asarray(batch.column("conv_id").to_pylist(), dtype=object),
-                batch.column(PART_COL).to_numpy(zero_copy_only=False),
-                np.asarray(stems, dtype=object),
-            )
-        )
-        batch = batch.take(pa.array(order))
-        stems_sorted = [stems[i] for i in order]
+        # one stable Arrow sort; UTF-8 byte order is codepoint order, so
+        # conv_id sorts as Python strings do
+        batch = batch.take(pc.sort_indices(batch, sort_keys=[
+            ("path", "ascending"), (PART_COL, "ascending"),
+            ("conv_id", "ascending"), ("turn_idx", "ascending")]))
+        path_enc = pc.dictionary_encode(batch.column("path")).combine_chunks()
+        path_idx = path_enc.indices.to_numpy(zero_copy_only=False)
+        stems = [_stem(p) for p in path_enc.dictionary.to_pylist()]
+        batch = batch.drop_columns(["path"])
         pids = batch.column(PART_COL).to_numpy(zero_copy_only=False)
 
         n = batch.num_rows
@@ -189,13 +188,12 @@ def make_piece_writer(data_dir: str, keep_text: bool):
         n_bins = len(PPL_BIN_EDGES)  # last bucket open-ended
         out_hist: list[list[int]] = []
         suffix = uuid.uuid4().hex[:8]
-        start = 0
-        while start < n:
-            end = start + 1
-            while end < n and stems_sorted[end] == stems_sorted[start] and pids[end] == pids[start]:
-                end += 1
+        # piece boundaries: rows where the input path or the partition changes
+        cuts = np.flatnonzero((path_idx[1:] != path_idx[:-1]) | (pids[1:] != pids[:-1])) + 1
+        bounds = [0, *cuts.tolist(), n] if n else []
+        for start, end in zip(bounds[:-1], bounds[1:]):
             pid = int(pids[start])
-            stem = stems_sorted[start]
+            stem = stems[path_idx[start]]
             piece = batch.slice(start, end - start).drop_columns([PART_COL])
             pdir = os.path.join(data_dir, f"{PART_COL}={pid}")
             os.makedirs(pdir, exist_ok=True)
@@ -214,7 +212,6 @@ def make_piece_writer(data_dir: str, keep_text: bool):
                                             minlength=n_bins).tolist())
             else:
                 out_hist.append([0] * n_bins)
-            start = end
 
         return pa.table(
             {
@@ -252,28 +249,32 @@ def make_fused_quality_write_fn(cfg: PipelineConfig, data_dir: str, keep_text: b
 
 
 class FusedQualityWriteStage:
-    """Actor-pool stage fusing scrub → composite score → piece write.
+    """Actor-pool stage fusing langid+rules → feature+scrub → composite
+    score → piece write over one block.
 
     Rationale (round-2 scaling work): with the scrub pool at fraction 0.6 the
     heavy regex/DFA work owned only ~18 of 32 CPUs while the score+write task
     operators idled CPUs between waves (map-stage utilization ~63%). Folding
-    score+write into the SAME actor op lets the pool own nearly the whole
-    node; the upstream stateless langid+rules task stage is fused into the
-    actor operator by Ray Data's planner, so the entire per-row pipeline runs
-    inside one operator with zero hand-offs."""
+    every per-row stage into the SAME operator lets the pool own nearly the
+    whole node with zero hand-offs, and the block's ``text`` column is
+    decoded to Python strings once for both langid+rules and feature+scrub."""
 
     def __init__(self, cfg: PipelineConfig, words, data_dir: str, keep_text: bool):
         from chinese_corpus_cleaning_ray.stages.quality_stages import (
             FeatureScrubStage,
+            make_langid_rules_fn,
             make_score_fn,
         )
 
+        self.langid_rules = make_langid_rules_fn(cfg)
         self.scrub = FeatureScrubStage(cfg, words)
         self.score = make_score_fn(cfg)
         self.write = make_piece_writer(data_dir, keep_text)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        return self.write(self.score(self.scrub(batch)))
+        texts = batch.column("text").to_pylist()
+        batch = self.langid_rules(batch, texts)
+        return self.write(self.score(self.scrub(batch, texts)))
 
 
 # Ray 2.49's read_parquet path probes `from fsspec.implementations.http
@@ -373,19 +374,19 @@ def run_quality_job(
                 include_paths=True,
                 override_num_blocks=max(len(chunk), cluster_cpus() * blocks_per_cpu, 1),
             )
-        ds = ds.map_batches(make_add_partition_fn(cfg.num_partitions), batch_format="pyarrow")
+        # batch_size bundles read blocks into tasks of >= cfg.batch_size rows;
+        # the writer runs once per task output block, so this also sets the
+        # rows per piece file
+        ds = ds.map_batches(make_add_partition_fn(cfg.num_partitions), batch_format="pyarrow",
+                            batch_size=cfg.batch_size)
         fused = (not cfg.enable_perplexity and not cfg.enable_clustering
                  and os.environ.get("CCC_FUSED", "1") != "0")
         if fused:
-            # one actor op owns scrub+score+write (langid+rules fuse in
-            # upstream); size it to nearly the whole node — only the parquet
-            # read tasks live outside it
-            from chinese_corpus_cleaning_ray.stages.quality_stages import make_langid_rules_fn
+            # one op owns langid+rules, scrub, score and write; size the pool
+            # to nearly the whole node — only the parquet read tasks live
+            # outside it
             from chinese_corpus_cleaning_ray.stages.pools import resolve_pool
 
-            if cfg.enable_langid or cfg.enable_rule_filter:
-                ds = ds.map_batches(make_langid_rules_fn(cfg), batch_format="pyarrow",
-                                    batch_size=cfg.batch_size)
             if words is None and os.environ.get("CCC_FUSED_TASKS", "1") != "0":
                 # packaged list: cached task stage, no pool spin-up
                 counters = ds.map_batches(
@@ -479,7 +480,7 @@ def run_quality_job(
     lock_path = os.path.join(output_dir, ".stats.lock")
     got_lock = False
     if not exclusive:
-        deadline = time.time() + 30
+        deadline = time.time() + STATS_LOCK_TIMEOUT_S
         while time.time() < deadline:
             try:
                 os.close(os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
@@ -492,6 +493,13 @@ def run_quality_job(
                 except OSError:
                     pass
                 time.sleep(0.05)
+        if not got_lock:
+            # publishing unlocked could overwrite a peer's newer stats.json
+            # with an undercount; the manifests are committed, so a rerun
+            # with resume=True republishes without redoing any work
+            raise TimeoutError(
+                f"stats lock {lock_path} still held after {STATS_LOCK_TIMEOUT_S} s; "
+                "manifests are committed, stats.json was not published")
     try:
         totals, ppl_hist_total = _totals_from_manifests()
         totals["files_this_run"] = files_this_run

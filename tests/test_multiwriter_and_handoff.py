@@ -212,3 +212,19 @@ def test_crawl_to_quality_handoff(ray_session, tmp_path):
     assert out.num_rows == 3
     cols = set(out.column_names)
     assert {"conv_id", "turn_idx", "quality_score", "keep", "scrubbed_text"} <= cols
+
+
+def test_stats_lock_timeout_raises_instead_of_publishing(monkeypatch, tmp_path):
+    """A non-exclusive writer that cannot take the stats lock in time raises
+    TimeoutError; it must not publish stats.json without the lock (that could
+    overwrite a peer's newer totals with an undercount)."""
+    import chinese_corpus_cleaning_ray.state.checkpoint as ck
+
+    inp, out = tmp_path / "in", tmp_path / "out"
+    inp.mkdir(), out.mkdir()  # no input files: the job goes straight to publishing
+    (out / ".stats.lock").touch()  # a fresh lock: a live peer is publishing
+    monkeypatch.setattr(ck, "STATS_LOCK_TIMEOUT_S", 0.3, raising=False)
+    with pytest.raises(TimeoutError, match="stats lock"):
+        ck.run_quality_job(str(inp), str(out), exclusive=False)
+    assert not (out / "stats.json").exists()
+    assert (out / ".stats.lock").exists()  # the peer's lock is left alone

@@ -1951,3 +1951,45 @@ def test_tool_latency_stats_planted(ray_session):
     assert out.loc["db", "n_calls"] == 2
     assert out.loc["db", "sum_gap_s"] == 12 and out.loc["db", "max_gap_s"] == 7
     assert out.loc["web", "n_calls"] == 1 and out.loc["web", "max_gap_s"] == 30
+
+
+def test_aggregate_columns_relabelled_by_name():
+    """Aggregate outputs are relabelled by column name: the aggregates-first
+    order older pyarrow releases produce gets the same labels, and a missing
+    name raises instead of mislabelling."""
+    from chinese_corpus_cleaning_ray.pipelines.conversations import _select_renamed
+
+    names = {"conv_id": "conv_id", "role": "role", "chars_count": "n",
+             "chars_sum": "chars", "turn_idx_max": "max_turn"}
+    keys_first = pa.table({"conv_id": ["a"], "role": ["user"], "chars_count": [2],
+                           "chars_sum": [5], "turn_idx_max": [7]})
+    aggs_first = keys_first.select(["chars_count", "chars_sum", "turn_idx_max",
+                                    "conv_id", "role"])
+    want = [{"conv_id": "a", "role": "user", "n": 2, "chars": 5, "max_turn": 7}]
+    assert _select_renamed(keys_first, names).to_pylist() == want
+    assert _select_renamed(aggs_first, names).to_pylist() == want
+    with pytest.raises(KeyError):
+        _select_renamed(keys_first.drop_columns(["chars_sum"]), names)
+
+
+def test_corpus_profile_values_on_crafted_table(ray_session):
+    """Every profile metric on a table where turn count, char sum and max
+    turn index all differ, so a swapped aggregate label changes a value."""
+    import ray
+
+    from chinese_corpus_cleaning_ray.pipelines.conversations import corpus_profile
+
+    t = pa.table({
+        "conv_id": pa.array(["a", "a", "a", "b", "c", "c"], pa.string()),
+        "turn_idx": pa.array([0, 1, 9, 0, 0, 4], pa.int64()),
+        "role": pa.array(["user", "assistant", "tool", "user", "user", "assistant"],
+                         pa.string()),
+        "text": pa.array(["一二三", "abcd", "", "你好", "x" * 11, "八个字的中文句子"],
+                         pa.string()),
+    })
+    got = dict(corpus_profile(ray.data.from_arrow(t)).itertuples(index=False))
+    assert got == {
+        "n_turns": 6, "n_convs": 3, "total_chars": 28, "max_turn_idx": 9,
+        "n_roles": 3, "turns_role_assistant": 2, "turns_role_tool": 1,
+        "turns_role_user": 3,
+    }
