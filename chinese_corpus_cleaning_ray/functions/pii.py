@@ -63,18 +63,19 @@ def redact_pii_batch(texts: pa.ChunkedArray | pa.Array) -> dict[str, pa.Array]:
     return out
 
 
+def append_pii_columns(batch: pa.Table, text_col: str = "text") -> pa.Table:
+    """``batch`` with ``redacted_text``, one ``<name>_count`` per category
+    and ``pii_total`` appended, redacted from ``text_col``."""
+    for name, arr in redact_pii_batch(batch.column(text_col)).items():
+        if isinstance(arr, pa.ChunkedArray):
+            arr = arr.combine_chunks()
+        batch = batch.append_column(name, arr)
+    return batch
+
+
 def redact_pii(ds, text_col: str = "text"):
-    """Dataset op: append ``redacted_text``, one ``<name>_count`` per
-    category, and ``pii_total`` to every row. Stateless task stage — no
-    shuffle, no actor pool (patterns are module constants compiled once per
-    worker process by RE2's internal cache)."""
-
-    def _batch(batch: pa.Table) -> pa.Table:
-        cols = redact_pii_batch(batch.column(text_col))
-        for name, arr in cols.items():
-            if isinstance(arr, pa.ChunkedArray):
-                arr = arr.combine_chunks()
-            batch = batch.append_column(name, arr)
-        return batch
-
-    return ds.map_batches(_batch, batch_format="pyarrow")
+    """Dataset op: ``append_pii_columns`` on every batch. Stateless task
+    stage — no shuffle, no actor pool (patterns are module constants
+    compiled once per worker process by RE2's internal cache)."""
+    return ds.map_batches(append_pii_columns, fn_kwargs={"text_col": text_col},
+                          batch_format="pyarrow")

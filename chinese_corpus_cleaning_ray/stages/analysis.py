@@ -999,12 +999,14 @@ def mixture_plan(ds, key_col: str, weights: dict[str, int],
     corpus. Sources absent from ``weights`` get rate 0 (dropped)."""
     import pyarrow.compute as pc
 
+    from chinese_corpus_cleaning_ray.pipelines.conversations import _select_renamed
+
     def partial(batch: pa.Table) -> pa.Table:
         n = pc.cast(pc.count_substring_regex(batch.column(text_col),
                                              pattern=token_pattern), pa.int64())
         t = pa.table({key_col: batch.column(key_col), "toks": n})
         agg = t.group_by(key_col).aggregate([("toks", "sum")])
-        return agg.rename_columns([key_col, "toks"])
+        return _select_renamed(agg, {key_col: key_col, "toks_sum": "toks"})
 
     mass_rows = (ds.map_batches(partial, batch_format="pyarrow")
                  .groupby(key_col).sum("toks").take_all())
@@ -1096,6 +1098,8 @@ def pack_chunks(ds, id_col: str = "doc_id", text_col: str = "text",
     import pyarrow.compute as pc
     import ray
 
+    from chinese_corpus_cleaning_ray.pipelines.conversations import _select_renamed
+
     bounds = ds.select_columns([id_col]).aggregate(
         ray.data.aggregate.Min(id_col), ray.data.aggregate.Max(id_col))
     if bounds is None or bounds.get(f"min({id_col})") is None:
@@ -1121,7 +1125,7 @@ def pack_chunks(ds, id_col: str = "doc_id", text_col: str = "text",
     def bucket_partials(batch: pa.Table) -> pa.Table:
         agg = (count_and_bucket(batch).select(["__bucket", "n_tokens"])
                .group_by("__bucket").aggregate([("n_tokens", "sum")]))
-        return agg.rename_columns(["__bucket", "toks"])
+        return _select_renamed(agg, {"__bucket": "__bucket", "n_tokens_sum": "toks"})
 
     sums = (ds.map_batches(bucket_partials, batch_format="pyarrow")
             .groupby("__bucket").sum("toks").take_all())
@@ -1162,9 +1166,11 @@ def rank_by_value(ds, col: str, out_col: str = "rank_lt",
     import numpy as np
     import ray
 
+    from chinese_corpus_cleaning_ray.pipelines.conversations import _select_renamed
+
     def partials(batch: pa.Table) -> pa.Table:
         t = batch.select([col]).group_by(col).aggregate([([], "count_all")])
-        return t.rename_columns([col, "n"])
+        return _select_renamed(t, {col: col, "count_all": "n"})
 
     rows = (ds.map_batches(partials, batch_format="pyarrow")
             .groupby(col).sum("n").take_all())
@@ -1217,6 +1223,8 @@ def heavy_hitters(ds, col: str, k: int, max_candidates: int = 2_000_000):
     import numpy as np
     import ray
 
+    from chinese_corpus_cleaning_ray.pipelines.conversations import _select_renamed
+
     sch = ds.schema()
     val_type = sch.base_schema.field(col).type
 
@@ -1252,7 +1260,7 @@ def heavy_hitters(ds, col: str, k: int, max_candidates: int = 2_000_000):
         vals = batch.select([col]).drop_null()
         hit = vals.filter(pc.is_in(vals.column(col), value_set=cset))
         g = hit.group_by(col).aggregate([([], "count_all")])
-        return g.rename_columns([col, "cnt"])
+        return _select_renamed(g, {col: col, "count_all": "cnt"})
 
     totals = (ds.map_batches(recount, batch_format="pyarrow")
               .groupby(col).sum("cnt").take_all())

@@ -2,26 +2,24 @@
 
 Stage layout (SURVEY §3 rebuild lifecycle):
 
-1. ``make_langid_rules_fn``  — STATELESS task stage: language-ID heuristic +
-   the 9 rule checks + weighted rule score, one pass per row; the CJK count
-   both need is taken once per batch. The reference runs these in a
-   sequential driver loop (ref:main.py:280); here they are a ``map_batches``
-   transform over zero-copy Arrow batches.
-2. ``FeatureScrubStage``     — ACTOR-POOL stage: DFA trie built once per actor
-   (43k-word production lists take ~1 s to build — ref:sensitive_filter.py:46-70
-   loads per process; we amortize per actor), emits feature check/score and the
-   byte-exact scrubbed text from ONE lowercase and ONE trie walk per turn
-   (EP2's two passes — ref:process_documents.py:40-59 — and the feature
-   check's per-line detect all fused into ``FeatureWordsScorer.evaluate``).
-
-In the checkpointed job (``state.checkpoint.FusedQualityWriteStage``) stages
-1, 2 and 4 run inside one operator over each block, sharing one decoded
-``text`` list (stages 1 and 2 take it as ``texts=``).
-3. ``PplStage``              — ACTOR-POOL stage: n-gram LM loaded once per
-   actor (A6/A7 — ref:lmppl_perplexity.py:26-40 loads GPT-2 in __init__).
+1. ``make_langid_rules_fn``  — STATELESS: language-ID heuristic + the 9 rule
+   checks + weighted rule score, one pass per row; the CJK count both need
+   is taken once per batch (the reference loops rows in its driver —
+   ref:main.py:280).
+2. ``FeatureScrubStage``     — DFA trie built once per worker (43k-word lists
+   take ~0.2 s — ref:sensitive_filter.py:46-70 loads per process); feature
+   check/score and the byte-exact scrubbed text come from ONE lowercase and
+   ONE trie walk per turn (``FeatureWordsScorer.evaluate``; EP2's two
+   passes, ref:process_documents.py:40-59, fused).
+3. ``PplStage`` / ``ClusteringStage`` — n-gram LM (A6/A7 —
+   ref:lmppl_perplexity.py:26-40) / reference matrix, built once per worker.
 4. ``make_score_fn``         — STATELESS: weight-normalized composite quality
-   score + keep decision, vectorized with numpy
-   (ref:main.py:219-251 with GENERAL_CONFIG weights).
+   score + keep decision, vectorized (ref:main.py:219-251).
+
+Task stages build their state through ``cached_stage``, actor pools in the
+constructor. The checkpointed job (``state.checkpoint.FusedQualityWriteStage``)
+runs every enabled stage in one cached task per block over one decoded
+``text`` list (passed as ``texts=``).
 
 All stages consume and produce ``pyarrow.Table`` batches and only append
 columns — the input schema (conv_id, turn_idx, role, text, tool, ts) passes
@@ -42,8 +40,22 @@ from chinese_corpus_cleaning_ray.functions.wordlists import load_words
 
 
 def _texts(batch: pa.Table) -> list[str]:
-    col = batch.column("text")
-    return col.to_pylist()
+    return batch.column("text").to_pylist()
+
+
+# stage state built in this worker process, one entry per stage kind
+_STAGE_CACHE: dict = {}
+
+
+def cached_stage(key: tuple, factory):
+    """The stage ``factory()`` builds, built once per worker process for
+    ``key``. ``key[0]`` names the stage kind and the rest says what its state
+    is (config hash, word-list digest): a new key replaces the kind's one
+    entry, so a long-lived worker holds at most one stage per kind."""
+    hit = _STAGE_CACHE.get(key[0])
+    if hit is None or hit[0] != key:
+        hit = _STAGE_CACHE[key[0]] = (key, factory())
+    return hit[1]
 
 
 def make_langid_rules_fn(cfg: PipelineConfig):
@@ -73,9 +85,9 @@ def make_langid_rules_fn(cfg: PipelineConfig):
 
 
 class FeatureScrubStage:
-    """Actor-pool stage: one DFA trie + feature scorer per actor. Each turn
-    costs one ``FeatureWordsScorer.evaluate`` call: one lowercase and one
-    trie walk serve the feature check, the score and the scrub.
+    """One DFA trie + feature scorer per worker. Each turn costs one
+    ``FeatureWordsScorer.evaluate`` call: one lowercase and one trie walk
+    serve the feature check, the score and the scrub.
 
     ``words`` may be a plain list, a ``ray.ObjectRef`` to one (broadcast via
     ``ray.put`` on the driver — preferred for large production lists so the
@@ -119,29 +131,22 @@ class FeatureScrubStage:
         return batch
 
 
-_FEATURE_STAGE_CACHE: dict = {}
-
-
 def make_feature_scrub_fn(cfg: PipelineConfig):
     """Task-stage variant of FeatureScrubStage for the PACKAGED word list:
     the default list is ~100 entries (trie build ~1 ms), so per-worker cached
     construction beats an actor pool's multi-second spin-up per query. Large
     injected lists (43k production entries, 0.2 s build) stay on the
     actor-pool path in ``build_quality_pipeline``."""
-    key = cfg.config_hash()
+    key = ("feature_scrub", cfg.config_hash())
 
     def feature_scrub(batch: pa.Table) -> pa.Table:
-        stage = _FEATURE_STAGE_CACHE.get(key)
-        if stage is None:
-            stage = FeatureScrubStage(cfg, None)
-            _FEATURE_STAGE_CACHE[key] = stage
-        return stage(batch)
+        return cached_stage(key, lambda: FeatureScrubStage(cfg, None))(batch)
 
     return feature_scrub
 
 
 class PplStage:
-    """Actor-pool stage: n-gram perplexity (model loaded/trained once per actor).
+    """n-gram perplexity (model loaded/trained once per worker).
 
     ``model_path`` → NgramModel.load; else the model trains on the packaged
     clean seed pool (deterministic, ~ms). Emits ppl + ppl_pass + ppl_score.
@@ -169,8 +174,9 @@ class PplStage:
             )
         self.scorer = PerplexityScorer(model, cfg.perplexity)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = _texts(batch)
+    def __call__(self, batch: pa.Table, texts: list[str] | None = None) -> pa.Table:
+        if texts is None:
+            texts = _texts(batch)
         ppl = [0.0] * len(texts)
         ppl_pass = [False] * len(texts)
         ppl_score = [0.0] * len(texts)
@@ -191,14 +197,14 @@ class PplStage:
 
 
 class ClusteringStage:
-    """Actor-pool stage: duplicate-ratio clustering score — the 4th quality
+    """Duplicate-ratio clustering score — the 4th quality
     component (ref:main.py:189-206, weight 0.1 per ref:config/config.py:59,
     disabled by default there and here).
 
     The reference linear-scans a Python list of corpus embeddings per text
     (ref:utils/clustering.py:127-150) and maps the max cosine to a piecewise
     score (ref:utils/clustering.py:187-207). Here the reference-corpus matrix
-    is normalized once per actor (pass a ``ray.put`` handle so it ships to
+    is normalized once per worker (pass a ``ray.put`` handle so it ships to
     each node once) and every batch is a single (B,d)@(d,R) matmul. For
     reference corpora too big to broadcast, bucket them with
     ``stages.similarity.lsh_planes`` and ship per-bucket slabs instead."""
@@ -226,8 +232,9 @@ class ClusteringStage:
         norms[norms == 0] = 1.0
         self.ref = (m / norms).T  # (d, R), ready for matmul
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = _texts(batch)
+    def __call__(self, batch: pa.Table, texts: list[str] | None = None) -> pa.Table:
+        if texts is None:
+            texts = _texts(batch)
         v = self.embedder.embed_batch(texts).astype(np.float64)
         norms = np.linalg.norm(v, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
@@ -245,22 +252,15 @@ class ClusteringStage:
         return batch
 
 
-_CLUSTER_STAGE_CACHE: dict = {}
-
-
 def make_clustering_fn(cfg: PipelineConfig):
     """Task-stage variant of ClusteringStage for the PACKAGED seed-pool
     reference corpus (small matrix, ~ms to build): per-worker cache, no pool
     spin-up. Injected reference embeddings (potentially large, or a real HF
     embedder) stay on the actor-pool path in ``build_quality_pipeline``."""
-    key = cfg.config_hash()
+    key = ("clustering", cfg.config_hash())
 
     def clustering(batch: pa.Table) -> pa.Table:
-        stage = _CLUSTER_STAGE_CACHE.get(key)
-        if stage is None:
-            stage = ClusteringStage(cfg, None)
-            _CLUSTER_STAGE_CACHE[key] = stage
-        return stage(batch)
+        return cached_stage(key, lambda: ClusteringStage(cfg, None))(batch)
 
     return clustering
 

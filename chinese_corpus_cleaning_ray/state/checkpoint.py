@@ -8,10 +8,10 @@ This module supplies the real thing, as required by the north rule.
 Design (v2 — replaced an earlier groupby(part_id) sort-shuffle writer):
 
 - **Unit of work / resume granularity = input file (shard).** Each pending
-  file streams through the pipeline and its output is written by the SAME
-  tasks that computed it — no all-to-all exchange anywhere in the job. The
-  sort-shuffle writer spent ~40% of wall time in the exchange and scaled at
-  0.57 efficiency 8→32 CPUs; this design keeps the plan fully pipelined.
+  file is one block, and one task computes and writes it — no all-to-all
+  exchange anywhere in the job (the sort-shuffle writer spent ~40% of wall
+  time in it). That task is ``FusedQualityWriteStage``, every config's
+  per-row stages plus the writer, its state cached per worker.
 - **Output layout stays hash-partitioned by conversation:**
   ``data/part_id=N/<input-stem>-<uuid>.parquet`` where
   ``part_id = crc32(conv_id) % num_partitions``. All turns of a conversation
@@ -24,8 +24,9 @@ Design (v2 — replaced an earlier groupby(part_id) sort-shuffle writer):
   into a single reduce task.)
 - **Manifests:** one ``_manifest/file-<stem>.json`` per completed input file
   with row counters (total/kept/errors/scrubbed), a per-partition row-count
-  breakdown (lineage), the file's size fingerprint and the config hash.
-  Stale manifests (config or input-file change) self-invalidate.
+  breakdown (lineage), the file's size fingerprint and the config hash
+  (with an injected word list's digest appended). Stale manifests (config,
+  word-list or input-file change) self-invalidate.
 - **Incremental durability:** pending files are processed in chunks of
   ``checkpoint_every`` files — one streaming execution per chunk, manifests
   committed after each chunk, so a crash loses at most one chunk of work.
@@ -36,6 +37,7 @@ Design (v2 — replaced an earlier groupby(part_id) sort-shuffle writer):
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -46,9 +48,18 @@ import zlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from chinese_corpus_cleaning_ray.config import DEFAULT_CONFIG, PipelineConfig
-from chinese_corpus_cleaning_ray.pipelines.quality import build_quality_pipeline
+from chinese_corpus_cleaning_ray.functions.pii import append_pii_columns
+from chinese_corpus_cleaning_ray.stages.quality_stages import (
+    ClusteringStage,
+    FeatureScrubStage,
+    PplStage,
+    cached_stage,
+    make_langid_rules_fn,
+    make_score_fn,
+)
 
 PART_COL = "part_id"
 
@@ -149,7 +160,6 @@ def make_piece_writer(data_dir: str, keep_text: bool):
 
     def write_pieces(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
-        import pyarrow.parquet as pq
 
         if not keep_text and "text" in batch.column_names:
             batch = batch.drop_columns(["text"])
@@ -225,56 +235,65 @@ def make_piece_writer(data_dir: str, keep_text: bool):
     return write_pieces
 
 
-_FUSED_STAGE_CACHE: dict = {}
+class FusedQualityWriteStage:
+    """Every per-row stage of the flagship over one block, in one pass:
+    langid+rules → feature+scrub → [perplexity] → [clustering] → composite
+    score → [PII redaction] → piece write, all walking one decoded ``text``
+    list. ``words``: an injected list, a ``ray.ObjectRef`` to one, or None
+    (the packaged list)."""
+
+    def __init__(self, cfg: PipelineConfig, words, data_dir: str, keep_text: bool):
+        self.langid_rules = make_langid_rules_fn(cfg)
+        self.scrub = FeatureScrubStage(cfg, words)
+        # the packaged n-gram model and clustering reference build in ms
+        self.ppl = PplStage(cfg) if cfg.enable_perplexity else None
+        self.cluster = ClusteringStage(cfg) if cfg.enable_clustering else None
+        self.score = make_score_fn(cfg)
+        # structured PII on the word-scrubbed text, as build_quality_pipeline
+        self.pii_col = (("scrubbed_text" if cfg.enable_scrub else "text")
+                        if cfg.enable_pii_redact else None)
+        self.retarget(data_dir, keep_text)
+
+    def retarget(self, data_dir: str, keep_text: bool) -> None:
+        # the writer holds no state: a cached stage serves every job
+        self.write = make_piece_writer(data_dir, keep_text)
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        texts = batch.column("text").to_pylist()
+        batch = self.scrub(self.langid_rules(batch, texts), texts)
+        if self.ppl is not None:
+            batch = self.ppl(batch, texts)
+        if self.cluster is not None:
+            batch = self.cluster(batch, texts)
+        batch = self.score(batch)
+        if self.pii_col is not None:
+            batch = append_pii_columns(batch, self.pii_col)
+        return self.write(batch)
 
 
-def make_fused_quality_write_fn(cfg: PipelineConfig, data_dir: str, keep_text: bool):
-    """Task-stage variant of FusedQualityWriteStage for the PACKAGED word
-    list: state (a ~100-entry trie + score weights) builds in ~1 ms, so a
-    per-worker cache beats an actor pool — and skipping pool spin-up removes
-    a fixed ~2 s that hits the 32-CPU side of the scaling ratio ~3× harder
-    than the 8-CPU side. Tasks also let read/compute/write share ALL CPUs
-    under the scheduler instead of a hand-tuned pool fraction. Injected
-    (production 43k) lists stay on the actor-pool path."""
-    key = (cfg.config_hash(), data_dir, keep_text)
+def make_fused_quality_write_fn(cfg: PipelineConfig, words, fingerprint: str,
+                                data_dir: str, keep_text: bool):
+    """Task stage over ``FusedQualityWriteStage``, built once per worker per
+    ``fingerprint`` (config hash + word-list digest); ``words`` (None or a
+    ``ray.ObjectRef``) is fetched only then."""
+    key = ("fused_quality_write", fingerprint)
 
     def fused(batch: pa.Table) -> pa.Table:
-        stage = _FUSED_STAGE_CACHE.get(key)
-        if stage is None:
-            stage = FusedQualityWriteStage(cfg, None, data_dir, keep_text)
-            _FUSED_STAGE_CACHE[key] = stage
+        stage = cached_stage(
+            key, lambda: FusedQualityWriteStage(cfg, words, data_dir, keep_text))
+        stage.retarget(data_dir, keep_text)
         return stage(batch)
 
     return fused
 
 
-class FusedQualityWriteStage:
-    """Actor-pool stage fusing langid+rules → feature+scrub → composite
-    score → piece write over one block.
-
-    Rationale (round-2 scaling work): with the scrub pool at fraction 0.6 the
-    heavy regex/DFA work owned only ~18 of 32 CPUs while the score+write task
-    operators idled CPUs between waves (map-stage utilization ~63%). Folding
-    every per-row stage into the SAME operator lets the pool own nearly the
-    whole node with zero hand-offs, and the block's ``text`` column is
-    decoded to Python strings once for both langid+rules and feature+scrub."""
-
-    def __init__(self, cfg: PipelineConfig, words, data_dir: str, keep_text: bool):
-        from chinese_corpus_cleaning_ray.stages.quality_stages import (
-            FeatureScrubStage,
-            make_langid_rules_fn,
-            make_score_fn,
-        )
-
-        self.langid_rules = make_langid_rules_fn(cfg)
-        self.scrub = FeatureScrubStage(cfg, words)
-        self.score = make_score_fn(cfg)
-        self.write = make_piece_writer(data_dir, keep_text)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column("text").to_pylist()
-        batch = self.langid_rules(batch, texts)
-        return self.write(self.score(self.scrub(batch, texts)))
+def words_digest(words) -> str | None:
+    """Content digest of an injected word list (order and duplicates
+    ignored); None for the packaged list, which ``config_hash`` covers."""
+    if words is None:
+        return None
+    blob = json.dumps(sorted(set(words)), ensure_ascii=False).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 # Ray 2.49's read_parquet path probes `from fsspec.implementations.http
@@ -321,7 +340,10 @@ def run_quality_job(
     concurrent writers never clobber each other; commits interleave safely
     because every manifest/piece/stats write is tmp-then-rename under a
     stem-unique (or uuid-unique) name."""
+    import ray
     import ray.data as rd
+
+    from chinese_corpus_cleaning_ray.stages.pools import cluster_cpus
 
     if not resume and not exclusive:
         raise ValueError(
@@ -334,7 +356,10 @@ def run_quality_job(
     os.makedirs(output_dir, exist_ok=True)
     files = _list_input_files(input_path)
     by_stem = {_stem(p): p for p in files}
-    cfg_hash = cfg.config_hash()
+    words = None if words is None else list(words)
+    # the manifests' fingerprint: the config, and an injected list's digest
+    digest = words_digest(words)
+    cfg_hash = cfg.config_hash() if digest is None else f"{cfg.config_hash()}-words-{digest}"
 
     if not resume:
         for d in (manifest.manifest_dir, manifest.data_dir):
@@ -358,63 +383,32 @@ def run_quality_job(
     pieces_cleaned = manifest.clean_pieces_except(
         done, scope=None if exclusive else set(by_stem))
     pending = [p for p in files if _stem(p) not in done]
+    # an injected list ships once per job; a worker fetches it only when it
+    # builds the stage
+    words_ref = ray.put(words) if words is not None and pending else None
 
     files_this_run = 0
+    cluster = cluster_cpus()
     for chunk_start in range(0, len(pending), checkpoint_every):
         chunk = pending[chunk_start : chunk_start + checkpoint_every]
-        # more blocks than actors keeps the pool busy through the tail; a
-        # block never spans files (fragments split within row groups), so
-        # per-file resume stays correct — pieces are named by stem either way.
-        from chinese_corpus_cleaning_ray.stages.pools import cluster_cpus
-
-        blocks_per_cpu = int(os.environ.get("CCC_BLOCKS_PER_CPU", "4"))
+        # one block per file, so each stem writes one piece per partition, on
+        # every run; only a chunk of fewer files than CPUs splits its files,
+        # into blocks of >= batch_size rows
+        rows = sum(pq.read_metadata(p).num_rows for p in chunk)
         with _READ_CREATE_LOCK:
             ds = rd.read_parquet(
                 chunk,
                 include_paths=True,
-                override_num_blocks=max(len(chunk), cluster_cpus() * blocks_per_cpu, 1),
+                override_num_blocks=max(len(chunk), min(cluster, rows // cfg.batch_size)),
             )
-        # batch_size bundles read blocks into tasks of >= cfg.batch_size rows;
-        # the writer runs once per task output block, so this also sets the
-        # rows per piece file
         ds = ds.map_batches(make_add_partition_fn(cfg.num_partitions), batch_format="pyarrow",
-                            batch_size=cfg.batch_size)
-        fused = (not cfg.enable_perplexity and not cfg.enable_clustering
-                 and os.environ.get("CCC_FUSED", "1") != "0")
-        if fused:
-            # one op owns langid+rules, scrub, score and write; size the pool
-            # to nearly the whole node — only the parquet read tasks live
-            # outside it
-            from chinese_corpus_cleaning_ray.stages.pools import resolve_pool
-
-            if words is None and os.environ.get("CCC_FUSED_TASKS", "1") != "0":
-                # packaged list: cached task stage, no pool spin-up
-                counters = ds.map_batches(
-                    make_fused_quality_write_fn(cfg, manifest.data_dir,
-                                                cfg.keep_original_text),
-                    batch_format="pyarrow",
-                    batch_size=None,
-                ).to_pandas()
-            else:
-                counters = ds.map_batches(
-                    FusedQualityWriteStage,
-                    fn_constructor_kwargs=dict(cfg=cfg, words=words,
-                                               data_dir=manifest.data_dir,
-                                               keep_text=cfg.keep_original_text),
-                    batch_format="pyarrow",
-                    batch_size=None,
-                    # 0.7 measured best: leaves CPUs for the read tasks feeding
-                    # the pool and keeps the block/actor wave tail fine-grained
-                    # (1.0 → 12.5s, 0.8 → 10.8s, 0.7 → 9.6s, 0.6 → 10.4s at 1M/32c)
-                    concurrency=resolve_pool(
-                        cfg.scrub_actors,
-                        fraction=float(os.environ.get("CCC_POOL_FRACTION", "0.7"))),
-                    num_cpus=1,
-                ).to_pandas()
-        else:
-            ds = build_quality_pipeline(ds, cfg, words=words)
-            writer = make_piece_writer(manifest.data_dir, cfg.keep_original_text)
-            counters = ds.map_batches(writer, batch_format="pyarrow", batch_size=None).to_pandas()
+                            batch_size=None)
+        counters = ds.map_batches(
+            make_fused_quality_write_fn(cfg, words_ref, cfg_hash, manifest.data_dir,
+                                        cfg.keep_original_text),
+            batch_format="pyarrow",
+            batch_size=None,
+        ).to_pandas()
 
         stems_with_rows = set()
         for stem, g in counters.groupby("stem"):

@@ -405,23 +405,33 @@ def test_knn_ivf_kmeans_recall(ray_session):
     assert float(np.mean(per_q)) >= 0.9, f"kmeans-IVF recall collapsed: {per_q}"
 
 
-def test_fused_task_and_actor_paths_identical(ray_session, input_dir, cfg, tmp_path, monkeypatch):
-    """The task-fused default and the actor-pool path (production-wordlist
-    shape, CCC_FUSED_TASKS=0) must produce byte-identical checkpointed
-    output — they are the same pipeline under two execution strategies."""
+@pytest.mark.parametrize(
+    "flag", [None, "words", "enable_perplexity", "enable_clustering", "enable_pii_redact"],
+    ids=["default", "injected_list", "perplexity", "clustering", "pii"])
+def test_run_quality_job_matches_pipeline(ray_session, input_dir, cfg, tmp_path, flag):
+    """The checkpointed job's one fused task stage gives, on every config,
+    the rows of the stage-by-stage ``build_quality_pipeline``."""
+    from dataclasses import replace
+
+    import ray.data as rd
+
+    from chinese_corpus_cleaning_ray.functions.wordlists import load_words
+    from chinese_corpus_cleaning_ray.pipelines.quality import build_quality_pipeline
     from chinese_corpus_cleaning_ray.state.checkpoint import Manifest, run_quality_job
 
-    out_task = str(tmp_path / "task")
-    monkeypatch.setenv("CCC_FUSED_TASKS", "1")
-    run_quality_job(input_dir, out_task, cfg)
-    task_t = _read_all_sorted(Manifest(out_task).data_dir)
+    words = load_words() + ["天气", "公园", "我们"] if flag == "words" else None
+    if flag and flag.startswith("enable_"):
+        cfg = replace(cfg, **{flag: True})
 
-    out_pool = str(tmp_path / "pool")
-    monkeypatch.setenv("CCC_FUSED_TASKS", "0")
-    run_quality_job(input_dir, out_pool, cfg)
-    pool_t = _read_all_sorted(Manifest(out_pool).data_dir)
-
-    assert task_t.equals(pool_t), "task-fused and actor-pool outputs differ"
+    out = str(tmp_path / "out")
+    run_quality_job(input_dir, out, cfg, words=words)
+    got = _read_all_sorted(Manifest(out).data_dir).drop_columns(["part_id"])
+    want = pa.concat_tables(build_quality_pipeline(rd.read_parquet(input_dir), cfg, words=words)
+                            .iter_batches(batch_format="pyarrow", batch_size=None))
+    want = want.drop_columns(["text"]).sort_by([("conv_id", "ascending"),
+                                               ("turn_idx", "ascending")])
+    assert got.column_names == want.column_names
+    assert got.equals(want), f"{flag}: run_quality_job and build_quality_pipeline differ"
 
 
 def test_stats_json_artifact(ray_session, input_dir, cfg, tmp_path):

@@ -160,6 +160,61 @@ def test_evaluate_matches_per_line_form_on_the_lists(wordset, wordlist, sample_t
     assert hits > len(texts) // 20
 
 
+def _naive_trie(words) -> dict:
+    """The trie as one fresh dict per node (the layout before shared leaves)."""
+    from chinese_corpus_cleaning_ray.functions.scrub import _TERM
+
+    root: dict = {}
+    for w in words:
+        chars = w.lower().strip()
+        if chars:
+            node = root
+            for ch in chars:
+                node = node.setdefault(ch, {})
+            node[_TERM] = True
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_TEXT, first=st.lists(_WORD, min_size=1, max_size=6),
+       later=st.lists(_WORD, min_size=1, max_size=4), round_trip=st.booleans())
+def test_words_added_later_and_after_pickling_keep_the_trie(text, first, later, round_trip):
+    """Word ends share one leaf; adding a word below a shared leaf (directly,
+    or after a pickle round trip gave the trie its own shared copy) must
+    replace it, never extend it under the other words that end there."""
+    import pickle
+
+    from chinese_corpus_cleaning_ray.functions import scrub
+    from chinese_corpus_cleaning_ray.functions.scrub import DFAScrubber
+
+    dfa = DFAScrubber(first)
+    if round_trip:
+        dfa = pickle.loads(pickle.dumps(dfa))
+    for w in later:
+        dfa.add(w)
+    words = first + later
+    assert dfa.root == _naive_trie(words)
+    assert scrub._LEAF == {scrub._TERM: True}
+    trie = o.build_trie(words)
+    assert dfa.scan(text.lower()) == (o.o_scrub(trie, text), o.o_detect(trie, text))
+
+
+@pytest.mark.parametrize("round_trip", [False, True])
+def test_extending_a_word_keeps_other_word_ends(round_trip):
+    import pickle
+
+    from chinese_corpus_cleaning_ray.functions.scrub import DFAScrubber
+
+    dfa = DFAScrubber(["坏", "好坏", "xy", "zy"])
+    if round_trip:
+        dfa = pickle.loads(pickle.dumps(dfa))
+    dfa.add("坏人")
+    dfa.add("xyz")
+    assert dfa.root == _naive_trie(["坏", "好坏", "xy", "zy", "坏人", "xyz"])
+    assert dfa.root["好"]["坏"] == dfa.root["z"]["y"] == {"\x00": True}
+    assert dfa.filter("好坏人 zyz xyz") == "**人 **z **z"
+
+
 def test_whitespace_is_caseless():
     # a blank line holds no match only if no whitespace char changes under lower()
     assert all(c.lower() == c for c in _all_codepoints() if c.isspace())
