@@ -104,10 +104,6 @@ class PipelineConfig:
     # --- execution knobs (ours; no reference analogue — it is single-process) ---
     num_partitions: int = 64          # hash(conv_id) checkpoint partitions
     batch_size: int = 4096            # rows per map_batches call in text stages
-    # Fixed actor-pool sizes; None → auto: cluster CPUs - 4 (autoscaling pools
-    # measured 40% slower — they under-provision under steady load).
-    scrub_actors: int | None = None
-    ppl_actors: int | None = None
     # keep the original text column in the checkpointed output (doubles the
     # output-shuffle payload; the scrubbed_text column is always kept)
     keep_original_text: bool = False
@@ -119,8 +115,7 @@ class PipelineConfig:
         must invalidate (mixing two part_id layouts in one dir is corruption).
         Only pure execution-throughput knobs are excluded."""
         d = asdict(self)
-        for k in ("batch_size", "scrub_actors", "ppl_actors"):
-            d.pop(k, None)
+        d.pop("batch_size")
         blob = json.dumps(d, sort_keys=True, ensure_ascii=False).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 

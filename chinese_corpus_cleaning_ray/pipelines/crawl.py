@@ -20,44 +20,6 @@ from __future__ import annotations
 import pyarrow as pa
 
 
-def build_crawl_pipeline(warc_paths, langid_cfg=None):
-    """Lazy Dataset: one row per Chinese response page —
-    (warc_path, record_id, target_uri, clean_text, lang, lang_conf)."""
-    from chinese_corpus_cleaning_ray.config import LangIdConfig
-    from chinese_corpus_cleaning_ray.functions.langid import make_langid
-    from chinese_corpus_cleaning_ray.functions.textclean import (
-        clean_text_ws,
-        remove_long_repeated_substrings,
-    )
-    from chinese_corpus_cleaning_ray.sources.warc import read_warc
-    from chinese_corpus_cleaning_ray.stages.analysis import strip_html_text
-
-    cfg = langid_cfg or LangIdConfig()
-    ds = read_warc(warc_paths)
-
-    def extract(batch: pa.Table) -> pa.Table:
-        payloads = batch.column("payload").to_pylist()
-        texts = [
-            remove_long_repeated_substrings(
-                clean_text_ws(strip_html_text(p.decode("utf-8", errors="ignore"))))
-            for p in payloads
-        ]
-        batch = batch.drop_columns(["payload"])
-        return batch.append_column("clean_text", pa.array(texts, pa.string()))
-
-    def langid(batch: pa.Table) -> pa.Table:
-        lid = make_langid(cfg)
-        res = lid.predict_batch(batch.column("clean_text").to_pylist())
-        batch = batch.append_column("lang", pa.array(res["lang"], pa.string()))
-        batch = batch.append_column("lang_conf", pa.array(res["lang_conf"], pa.float64()))
-        keep = pa.array(res["is_zh"], pa.bool_())
-        return batch.filter(keep)
-
-    return ds.map_batches(extract, batch_format="pyarrow").map_batches(
-        langid, batch_format="pyarrow"
-    )
-
-
 def _list_warcs(warc_paths) -> list[str]:
     import glob as _glob
     import os

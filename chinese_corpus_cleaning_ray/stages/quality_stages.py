@@ -16,10 +16,13 @@ Stage layout (SURVEY §3 rebuild lifecycle):
 4. ``make_score_fn``         — STATELESS: weight-normalized composite quality
    score + keep decision, vectorized (ref:main.py:219-251).
 
-Task stages build their state through ``cached_stage``, actor pools in the
-constructor. The checkpointed job (``state.checkpoint.FusedQualityWriteStage``)
-runs every enabled stage in one cached task per block over one decoded
-``text`` list (passed as ``texts=``).
+``QualityStage`` runs every enabled stage, then PII redaction, over one
+decoded ``text`` list per batch (each stage takes it as ``texts=``).
+``make_quality_fn`` wraps it in a task-stage batch fn whose state is built
+once per worker process by ``cached_stage``; both entry points run that fn —
+``pipelines.quality.build_quality_pipeline`` as its one operator, and
+``state.checkpoint.run_quality_job`` followed by the piece writer in one
+task per block. No stage runs in an actor pool.
 
 All stages consume and produce ``pyarrow.Table`` batches and only append
 columns — the input schema (conv_id, turn_idx, role, text, tool, ts) passes
@@ -28,6 +31,10 @@ through untouched.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import uuid
+
 import numpy as np
 import pyarrow as pa
 
@@ -35,6 +42,7 @@ from chinese_corpus_cleaning_ray.config import PipelineConfig
 from chinese_corpus_cleaning_ray.functions.features import FeatureWordsScorer
 from chinese_corpus_cleaning_ray.functions.langid import make_langid
 from chinese_corpus_cleaning_ray.functions.ngram_lm import NgramModel, PerplexityScorer
+from chinese_corpus_cleaning_ray.functions.pii import append_pii_columns
 from chinese_corpus_cleaning_ray.functions.rules import cjk_counts, evaluate_rules_arrow
 from chinese_corpus_cleaning_ray.functions.wordlists import load_words
 
@@ -131,41 +139,27 @@ class FeatureScrubStage:
         return batch
 
 
-def make_feature_scrub_fn(cfg: PipelineConfig):
-    """Task-stage variant of FeatureScrubStage for the PACKAGED word list:
-    the default list is ~100 entries (trie build ~1 ms), so per-worker cached
-    construction beats an actor pool's multi-second spin-up per query. Large
-    injected lists (43k production entries, 0.2 s build) stay on the
-    actor-pool path in ``build_quality_pipeline``."""
-    key = ("feature_scrub", cfg.config_hash())
-
-    def feature_scrub(batch: pa.Table) -> pa.Table:
-        return cached_stage(key, lambda: FeatureScrubStage(cfg, None))(batch)
-
-    return feature_scrub
-
-
 class PplStage:
     """n-gram perplexity (model loaded/trained once per worker).
 
-    ``model_path`` → NgramModel.load; else the model trains on the packaged
-    clean seed pool (deterministic, ~ms). Emits ppl + ppl_pass + ppl_score.
+    ``cfg.perplexity.model_path`` → NgramModel.load; else the model trains on
+    the packaged clean seed pool (deterministic, ~ms). Emits ppl + ppl_pass +
+    ppl_score.
 
     ``scorer_factory`` (optional) overrides the scorer entirely — e.g.
     ``lambda: HFPerplexityScorer(cfg.perplexity)`` for the GPT-2 forward-pass
     path on GPU clusters (ref:lmppl_perplexity.py:26-40 loads GPT-2 once per
-    process; here once per actor). Any object with check_perplexity /
-    get_perplexity_score works. Default stays the deterministic n-gram model
-    so keep/drop labels never move.
+    process, and so does ``QualityStage`` here). Any object with
+    check_perplexity / get_perplexity_score works. Default stays the
+    deterministic n-gram model so keep/drop labels never move.
     """
 
-    def __init__(self, cfg: PipelineConfig, model_path: str | None = None,
-                 scorer_factory=None):
+    def __init__(self, cfg: PipelineConfig, scorer_factory=None):
         if scorer_factory is not None:
             self.scorer = scorer_factory()
             return
-        if model_path:
-            model = NgramModel.load(model_path)
+        if cfg.perplexity.model_path:
+            model = NgramModel.load(cfg.perplexity.model_path)
         else:
             from chinese_corpus_cleaning_ray.sources.transcripts import CLEAN_SENTENCES
 
@@ -252,19 +246,6 @@ class ClusteringStage:
         return batch
 
 
-def make_clustering_fn(cfg: PipelineConfig):
-    """Task-stage variant of ClusteringStage for the PACKAGED seed-pool
-    reference corpus (small matrix, ~ms to build): per-worker cache, no pool
-    spin-up. Injected reference embeddings (potentially large, or a real HF
-    embedder) stay on the actor-pool path in ``build_quality_pipeline``."""
-    key = ("clustering", cfg.config_hash())
-
-    def clustering(batch: pa.Table) -> pa.Table:
-        return cached_stage(key, lambda: ClusteringStage(cfg, None))(batch)
-
-    return clustering
-
-
 def make_score_fn(cfg: PipelineConfig):
     """Composite quality score + keep decision, vectorized.
 
@@ -301,3 +282,82 @@ def make_score_fn(cfg: PipelineConfig):
         return batch
 
     return score_decide
+
+
+class QualityStage:
+    """Every per-row stage over one batch, in one pass: langid+rules →
+    feature+scrub → [perplexity] → [clustering] → composite score → [PII
+    redaction], all walking one decoded ``text`` list.
+
+    ``words``: an injected list, a ``ray.ObjectRef`` to one, or None (the
+    packaged list). ``cluster_ref``: reference-corpus embeddings, an array or
+    a ``ray.ObjectRef`` to one, or None (the packaged clean seed pool).
+    ``ppl_scorer_factory``: builds the perplexity scorer in place of the
+    packaged n-gram model — the GPU/HF seam, e.g. ``lambda:
+    HFPerplexityScorer(cfg.perplexity)``."""
+
+    def __init__(self, cfg: PipelineConfig, words=None, cluster_ref=None,
+                 ppl_scorer_factory=None):
+        self.langid_rules = make_langid_rules_fn(cfg)
+        self.scrub = FeatureScrubStage(cfg, words)
+        self.ppl = (PplStage(cfg, scorer_factory=ppl_scorer_factory)
+                    if cfg.enable_perplexity else None)
+        self.cluster = ClusteringStage(cfg, cluster_ref) if cfg.enable_clustering else None
+        self.score = make_score_fn(cfg)
+        # structured PII (emails / CN mobile / IPv4 / resident id) on the
+        # word-scrubbed text; additive, so scrubbed_text keeps reference parity
+        self.pii_col = (("scrubbed_text" if cfg.enable_scrub else "text")
+                        if cfg.enable_pii_redact else None)
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        texts = _texts(batch)
+        batch = self.scrub(self.langid_rules(batch, texts), texts)
+        if self.ppl is not None:
+            batch = self.ppl(batch, texts)
+        if self.cluster is not None:
+            batch = self.cluster(batch, texts)
+        batch = self.score(batch)
+        if self.pii_col is not None:
+            batch = append_pii_columns(batch, self.pii_col)
+        return batch
+
+
+def words_digest(words) -> str | None:
+    """Content digest of an injected word list (order and duplicates
+    ignored); None for the packaged list, which ``config_hash`` covers."""
+    if words is None:
+        return None
+    blob = json.dumps(sorted(set(words)), ensure_ascii=False).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def make_quality_fn(cfg: PipelineConfig, words=None, cluster_ref=None,
+                    ppl_scorer_factory=None):
+    """``(fn, fingerprint)``: a task-stage batch fn over ``QualityStage``,
+    and what its output depends on — the config hash, plus an injected
+    list's digest (``<config_hash>-words-<digest>``).
+
+    The stage is built once per worker process per fingerprint, so every
+    CPU's worker holds one (a 43k list's trie, the n-gram model, or the
+    ``ppl_scorer_factory`` scorer — one model load per worker process, not
+    one actor). An injected ``words`` list is ``ray.put`` here, once per
+    call, and fetched by a worker only when it builds the stage.
+    ``cluster_ref`` and ``ppl_scorer_factory`` cannot be digested cheaply:
+    either one adds a per-call token to the cache key, so a later call never
+    reuses a stage built from another's."""
+    words = None if words is None else list(words)
+    digest = words_digest(words)
+    fingerprint = cfg.config_hash() if digest is None else f"{cfg.config_hash()}-words-{digest}"
+    key = ("quality", fingerprint)
+    if cluster_ref is not None or ppl_scorer_factory is not None:
+        key += (uuid.uuid4().hex,)
+    if words is not None:
+        import ray
+
+        words = ray.put(words)
+
+    def quality(batch: pa.Table) -> pa.Table:
+        return cached_stage(key, lambda: QualityStage(cfg, words, cluster_ref,
+                                                      ppl_scorer_factory))(batch)
+
+    return quality, fingerprint

@@ -10,8 +10,9 @@ Design (v2 — replaced an earlier groupby(part_id) sort-shuffle writer):
 - **Unit of work / resume granularity = input file (shard).** Each pending
   file is one block, and one task computes and writes it — no all-to-all
   exchange anywhere in the job (the sort-shuffle writer spent ~40% of wall
-  time in it). That task is ``FusedQualityWriteStage``, every config's
-  per-row stages plus the writer, its state cached per worker.
+  time in it). That task runs ``stages.quality_stages.QualityStage`` (every
+  config's per-row stages, the one ``build_quality_pipeline`` runs, its state
+  cached per worker) and then the stateless piece writer on its output.
 - **Output layout stays hash-partitioned by conversation:**
   ``data/part_id=N/<input-stem>-<uuid>.parquet`` where
   ``part_id = crc32(conv_id) % num_partitions``. All turns of a conversation
@@ -24,9 +25,12 @@ Design (v2 — replaced an earlier groupby(part_id) sort-shuffle writer):
   into a single reduce task.)
 - **Manifests:** one ``_manifest/file-<stem>.json`` per completed input file
   with row counters (total/kept/errors/scrubbed), a per-partition row-count
-  breakdown (lineage), the file's size fingerprint and the config hash
-  (with an injected word list's digest appended). Stale manifests (config,
-  word-list or input-file change) self-invalidate.
+  breakdown (lineage), the input file's fingerprint (byte size, mtime in ns
+  and the Parquet footer's row count) and the config hash (with an injected
+  word list's digest appended). Stale manifests (config, word-list or
+  input-file change) self-invalidate; so does one without the full input
+  fingerprint, so an output dir written before mtime and rows were stamped
+  redoes each file once.
 - **Incremental durability:** pending files are processed in chunks of
   ``checkpoint_every`` files — one streaming execution per chunk, manifests
   committed after each chunk, so a crash loses at most one chunk of work.
@@ -37,7 +41,6 @@ Design (v2 — replaced an earlier groupby(part_id) sort-shuffle writer):
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
@@ -51,15 +54,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from chinese_corpus_cleaning_ray.config import DEFAULT_CONFIG, PipelineConfig
-from chinese_corpus_cleaning_ray.functions.pii import append_pii_columns
-from chinese_corpus_cleaning_ray.stages.quality_stages import (
-    ClusteringStage,
-    FeatureScrubStage,
-    PplStage,
-    cached_stage,
-    make_langid_rules_fn,
-    make_score_fn,
-)
+from chinese_corpus_cleaning_ray.stages.quality_stages import make_quality_fn
 
 PART_COL = "part_id"
 
@@ -235,67 +230,6 @@ def make_piece_writer(data_dir: str, keep_text: bool):
     return write_pieces
 
 
-class FusedQualityWriteStage:
-    """Every per-row stage of the flagship over one block, in one pass:
-    langid+rules → feature+scrub → [perplexity] → [clustering] → composite
-    score → [PII redaction] → piece write, all walking one decoded ``text``
-    list. ``words``: an injected list, a ``ray.ObjectRef`` to one, or None
-    (the packaged list)."""
-
-    def __init__(self, cfg: PipelineConfig, words, data_dir: str, keep_text: bool):
-        self.langid_rules = make_langid_rules_fn(cfg)
-        self.scrub = FeatureScrubStage(cfg, words)
-        # the packaged n-gram model and clustering reference build in ms
-        self.ppl = PplStage(cfg) if cfg.enable_perplexity else None
-        self.cluster = ClusteringStage(cfg) if cfg.enable_clustering else None
-        self.score = make_score_fn(cfg)
-        # structured PII on the word-scrubbed text, as build_quality_pipeline
-        self.pii_col = (("scrubbed_text" if cfg.enable_scrub else "text")
-                        if cfg.enable_pii_redact else None)
-        self.retarget(data_dir, keep_text)
-
-    def retarget(self, data_dir: str, keep_text: bool) -> None:
-        # the writer holds no state: a cached stage serves every job
-        self.write = make_piece_writer(data_dir, keep_text)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column("text").to_pylist()
-        batch = self.scrub(self.langid_rules(batch, texts), texts)
-        if self.ppl is not None:
-            batch = self.ppl(batch, texts)
-        if self.cluster is not None:
-            batch = self.cluster(batch, texts)
-        batch = self.score(batch)
-        if self.pii_col is not None:
-            batch = append_pii_columns(batch, self.pii_col)
-        return self.write(batch)
-
-
-def make_fused_quality_write_fn(cfg: PipelineConfig, words, fingerprint: str,
-                                data_dir: str, keep_text: bool):
-    """Task stage over ``FusedQualityWriteStage``, built once per worker per
-    ``fingerprint`` (config hash + word-list digest); ``words`` (None or a
-    ``ray.ObjectRef``) is fetched only then."""
-    key = ("fused_quality_write", fingerprint)
-
-    def fused(batch: pa.Table) -> pa.Table:
-        stage = cached_stage(
-            key, lambda: FusedQualityWriteStage(cfg, words, data_dir, keep_text))
-        stage.retarget(data_dir, keep_text)
-        return stage(batch)
-
-    return fused
-
-
-def words_digest(words) -> str | None:
-    """Content digest of an injected word list (order and duplicates
-    ignored); None for the packaged list, which ``config_hash`` covers."""
-    if words is None:
-        return None
-    blob = json.dumps(sorted(set(words)), ensure_ascii=False).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
 # Ray 2.49's read_parquet path probes `from fsspec.implementations.http
 # import HTTPFileSystem` on EVERY call (the failed import is never cached)
 # and catches only ModuleNotFoundError — under two concurrent driver THREADS
@@ -314,6 +248,14 @@ def _list_input_files(input_path: str) -> list[str]:
         for f in os.listdir(input_path)
         if f.endswith(".parquet")
     )
+
+
+def _input_fingerprint(path: str) -> dict:
+    """What a manifest stamps of its input file. The stat comes first, so a
+    rewrite after it leaves a stale stamp, never a fresh one."""
+    st = os.stat(path)
+    return {"input_size": st.st_size, "input_mtime_ns": st.st_mtime_ns,
+            "input_rows": pq.read_metadata(path).num_rows}
 
 
 def run_quality_job(
@@ -340,7 +282,6 @@ def run_quality_job(
     concurrent writers never clobber each other; commits interleave safely
     because every manifest/piece/stats write is tmp-then-rename under a
     stem-unique (or uuid-unique) name."""
-    import ray
     import ray.data as rd
 
     from chinese_corpus_cleaning_ray.stages.pools import cluster_cpus
@@ -356,10 +297,12 @@ def run_quality_job(
     os.makedirs(output_dir, exist_ok=True)
     files = _list_input_files(input_path)
     by_stem = {_stem(p): p for p in files}
-    words = None if words is None else list(words)
     # the manifests' fingerprint: the config, and an injected list's digest
-    digest = words_digest(words)
-    cfg_hash = cfg.config_hash() if digest is None else f"{cfg.config_hash()}-words-{digest}"
+    quality, cfg_hash = make_quality_fn(cfg, words)
+    write = make_piece_writer(manifest.data_dir, cfg.keep_original_text)
+
+    def quality_write(batch: pa.Table) -> pa.Table:
+        return write(quality(batch))
 
     if not resume:
         for d in (manifest.manifest_dir, manifest.data_dir):
@@ -374,8 +317,9 @@ def run_quality_job(
                 manifest.remove(stem)
             continue
         rec = manifest.read(stem)
-        size = os.path.getsize(by_stem[stem])
-        if rec.get("config_hash") != cfg_hash or rec.get("input_size") != size:
+        # a record without the full input fingerprint counts as changed
+        now = _input_fingerprint(by_stem[stem])
+        if rec.get("config_hash") != cfg_hash or any(rec.get(k) != v for k, v in now.items()):
             manifest.remove(stem)
         else:
             done.add(stem)
@@ -383,9 +327,6 @@ def run_quality_job(
     pieces_cleaned = manifest.clean_pieces_except(
         done, scope=None if exclusive else set(by_stem))
     pending = [p for p in files if _stem(p) not in done]
-    # an injected list ships once per job; a worker fetches it only when it
-    # builds the stage
-    words_ref = ray.put(words) if words is not None and pending else None
 
     files_this_run = 0
     cluster = cluster_cpus()
@@ -394,7 +335,8 @@ def run_quality_job(
         # one block per file, so each stem writes one piece per partition, on
         # every run; only a chunk of fewer files than CPUs splits its files,
         # into blocks of >= batch_size rows
-        rows = sum(pq.read_metadata(p).num_rows for p in chunk)
+        inputs = {_stem(p): _input_fingerprint(p) for p in chunk}
+        rows = sum(fp["input_rows"] for fp in inputs.values())
         with _READ_CREATE_LOCK:
             ds = rd.read_parquet(
                 chunk,
@@ -403,12 +345,8 @@ def run_quality_job(
             )
         ds = ds.map_batches(make_add_partition_fn(cfg.num_partitions), batch_format="pyarrow",
                             batch_size=None)
-        counters = ds.map_batches(
-            make_fused_quality_write_fn(cfg, words_ref, cfg_hash, manifest.data_dir,
-                                        cfg.keep_original_text),
-            batch_format="pyarrow",
-            batch_size=None,
-        ).to_pandas()
+        counters = ds.map_batches(quality_write, batch_format="pyarrow",
+                                  batch_size=None).to_pandas()
 
         stems_with_rows = set()
         for stem, g in counters.groupby("stem"):
@@ -421,7 +359,7 @@ def run_quality_job(
             )
             record = {
                 "stem": stem,
-                "input_size": os.path.getsize(by_stem[stem]),
+                **inputs[stem],
                 "counters": {k: int(g[k].sum()) for k in ("total", "kept", "errors", "scrubbed")},
                 "ppl_hist": [int(x) for x in hist],
                 "per_partition": per_part,
@@ -439,7 +377,7 @@ def run_quality_job(
                 continue
             manifest.mark_done(stem, {
                 "stem": stem,
-                "input_size": os.path.getsize(p),
+                **inputs[stem],
                 "counters": {"total": 0, "kept": 0, "errors": 0, "scrubbed": 0},
                 "per_partition": {},
                 "config_hash": cfg_hash,

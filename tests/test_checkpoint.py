@@ -94,6 +94,47 @@ def test_stale_config_invalidates(ray_session, input_dir, cfg, tmp_path):
     assert stats["total"] == 5_000
 
 
+def test_same_size_rewrite_of_a_shard_is_redone(ray_session, cfg, tmp_path):
+    """A shard rewritten in place to the same byte size (one ASCII character
+    changed in an uncompressed, dictionary-free file) is a changed input, and
+    so is one whose manifest predates the mtime and row-count stamps: resume
+    redoes each such file, and only it."""
+    import json
+
+    import pyarrow as pa
+
+    from chinese_corpus_cleaning_ray.state.checkpoint import Manifest, run_quality_job
+
+    src = tmp_path / "in"
+    src.mkdir()
+    text = "这一段混合了英文敏感词 spamword 和中文内容，用来检查重写之后的结果是否更新。"
+    for i in range(2):
+        pq.write_table(pa.table({"conv_id": [f"c{i}"] * 3, "turn_idx": [0, 1, 2],
+                                 "role": ["user"] * 3, "text": [text] * 3}),
+                       str(src / f"shard-{i}.parquet"), compression=None, use_dictionary=False)
+    out = str(tmp_path / "out")
+    assert run_quality_job(str(src), out, cfg)["files_this_run"] == 2
+
+    shard = src / "shard-1.parquet"
+    blob = shard.read_bytes()
+    assert b"spamword" in blob
+    shard.write_bytes(blob.replace(b"spamword", b"spamwork"))
+    assert len(shard.read_bytes()) == len(blob)
+    again = run_quality_job(str(src), out, cfg)
+    assert again["files_this_run"] == 1 and again["total"] == 6
+    rows = _read_all_sorted(Manifest(out).data_dir).to_pylist()
+    assert [("spamwork" in r["scrubbed_text"]) for r in rows] == [False] * 3 + [True] * 3
+
+    m = Manifest(out)
+    rec = m.read("shard-0")
+    del rec["input_mtime_ns"]
+    m.mark_done("shard-0", rec)
+    assert run_quality_job(str(src), out, cfg)["files_this_run"] == 1
+    assert run_quality_job(str(src), out, cfg)["files_this_run"] == 0
+    assert {"input_size", "input_mtime_ns", "input_rows"} <= set(
+        json.load(open(os.path.join(out, "_manifest", "file-shard-0.json"))))
+
+
 def test_partition_dirs_colocate_conversations(ray_session, input_dir, cfg, tmp_path):
     from chinese_corpus_cleaning_ray.state.checkpoint import Manifest, run_quality_job
 

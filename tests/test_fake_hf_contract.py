@@ -93,7 +93,8 @@ def test_ppl_stage_scorer_factory_feeds_columns(ray_session):
 
 def test_quality_pipeline_ppl_scorer_factory_seam(ray_session):
     """build_quality_pipeline(ppl_scorer_factory=…) threads the factory into
-    the actor-pool PplStage; keep/score incorporate the injected component."""
+    the quality stage's PplStage, built once per worker process; keep/score
+    incorporate the injected component."""
     from dataclasses import replace
 
     import ray.data as rd
@@ -116,8 +117,8 @@ def test_quality_pipeline_ppl_scorer_factory_seam(ray_session):
 
 def test_quality_pipeline_cluster_ref_with_fake_embedder(ray_session):
     """build_quality_pipeline(cluster_ref=…): injected reference embeddings
-    (via ray.put, the once-per-node broadcast shape) drive the actor-pool
-    ClusteringStage; a text embedded into the reference pool scores as a
+    (via ray.put, the once-per-node broadcast shape) drive the quality
+    stage's ClusteringStage; a text embedded into the reference pool scores as a
     near-duplicate, a distinct one does not."""
     from dataclasses import replace
 

@@ -77,3 +77,34 @@ def test_fused_evaluate_matches_unfused(scorer, sample_texts):
         assert fused["feature_score"] == want_score
         assert fused["feature_count"] == details["feature_count"]
         assert fused["scrubbed_text"] == scorer.dfa.filter(text)
+
+
+# Outputs recorded from the scorer when it still kept ``set(words)``: an
+# empty list, a whitespace-only list (truthy, but no trie entry), and the
+# Aho-Corasick path with a duplicate word, an overlapping pair and a padded
+# word (the trie strips it, Aho-Corasick does not).
+_EDGE_TEXTS = ["", "   \n\t", "色情色情，还有赌博和广告",
+               "今天天气很好，适合出去散步。\n第二行也很正常的内容", "SpamWord 广告\n\n色情情色"]
+_CLEAN = [(True, 0.0, 0, 0, 0.0), (True, 1.0, 0, 0, 0.0), (True, 0.0, 0, 0, 0.0),
+          (True, 1.0, 0, 0, 0.0), (True, 0.0, 0, 0, 0.0)]
+_EDGE_WANT = {
+    "empty": ([], True, _CLEAN, [t.lower() for t in _EDGE_TEXTS]),
+    "blank": (["   ", "\t"], True, _CLEAN, [t.lower() for t in _EDGE_TEXTS]),
+    "ac": (["色情", "色情", "情色", "赌博", " 广告 "], False,
+           [(True, 0.0, 0, 0, 0.0), (True, 1.0, 0, 0, 0.0), (False, 0.0, 4, 4, 4.0),
+            (True, 1.0, 0, 0, 0.0), (False, 0.0, 2, 3, 2.0)],
+           ["", "   \n\t", "****，还有**和**", _EDGE_TEXTS[3].lower(), "spamword **\n\n****"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_WANT))
+def test_edge_lists_keep_their_outputs(case):
+    words, use_dfa, want, scrubbed = _EDGE_WANT[case]
+    scorer = FeatureWordsScorer(words, use_dfa=use_dfa)
+    for text, (ok, score, count, hits, avg), scrub in zip(_EDGE_TEXTS, want, scrubbed):
+        r = scorer.evaluate(text)
+        assert (r["feature_pass"], r["feature_score"], r["feature_count"]) == (ok, score, count)
+        assert (r["scrubbed_text"], r["sensitive_count"]) == (scrub, hits)
+        passed, details = scorer.check_feature_words(text)
+        assert (passed, details["feature_count"], details["avg_per_line"]) == (ok, count, avg)
+        assert scorer.get_feature_score(text) == score

@@ -23,7 +23,9 @@ def split_input(tmp_path_factory):
     a_dir, b_dir = str(root / "slice_a"), str(root / "slice_b")
     os.makedirs(a_dir), os.makedirs(b_dir)
     for i, f in enumerate(files):
-        shutil.copy(os.path.join(full, f), os.path.join(a_dir if i < 3 else b_dir, f))
+        # copy2 keeps the mtime: the slices hold the same files as ``full``,
+        # as the manifests' input fingerprint (size, mtime, rows) sees them
+        shutil.copy2(os.path.join(full, f), os.path.join(a_dir if i < 3 else b_dir, f))
     return full, a_dir, b_dir
 
 

@@ -100,7 +100,7 @@ def test_resume_with_another_word_list_relabels(ray_session, input_dir, cfg, tmp
     assert again["scrubbed"] > first["scrubbed"]
     assert _rows(out).equals(_rows(fresh))
 
-    from chinese_corpus_cleaning_ray.state.checkpoint import words_digest
+    from chinese_corpus_cleaning_ray.stages.quality_stages import words_digest
 
     stamp = f"{cfg.config_hash()}-words-{words_digest(words_b)}"
     assert json.load(open(os.path.join(out, "stats.json")))["config_hash"] == stamp
@@ -198,25 +198,56 @@ def test_cached_stage_holds_one_entry_per_kind():
     assert len(qs._STAGE_CACHE) == 2
 
 
-def test_fused_stage_retargets_its_writer(tmp_path):
+def test_one_quality_stage_serves_two_jobs_writers(tmp_path):
+    """The job's batch fn is the cached quality stage, then a stateless
+    writer: the stage is built once per worker however many jobs run, and
+    each job's writer keeps its own output dir and ``keep_text``."""
     from chinese_corpus_cleaning_ray.config import DEFAULT_CONFIG as cfg
+    from chinese_corpus_cleaning_ray.stages import quality_stages as qs
     from chinese_corpus_cleaning_ray.state.checkpoint import (
-        FusedQualityWriteStage,
         make_add_partition_fn,
+        make_piece_writer,
     )
 
     t = pa.table({"conv_id": ["c0", "c1"], "turn_idx": [0, 0], "role": ["user"] * 2,
                   "text": ["今天的天气非常好，我们一起去公园散步。", "短句"]})
     t = make_add_partition_fn(cfg.num_partitions)(t)
     t = t.append_column("path", pa.array(["/in/s.parquet"] * 2))
-    stage = FusedQualityWriteStage(cfg, None, str(tmp_path / "a"), keep_text=False)
-    stage(t)
-    stage.retarget(str(tmp_path / "b"), True)
-    stage(t)
+    qs._STAGE_CACHE.clear()
+    quality, _ = qs.make_quality_fn(cfg)
+    for name, keep_text in (("a", False), ("b", True)):
+        make_piece_writer(str(tmp_path / name), keep_text)(quality(t))
+    stage = qs._STAGE_CACHE["quality"][1]
+    assert isinstance(stage, qs.QualityStage)
+    assert qs.make_quality_fn(cfg)[0](t).equals(stage(t))
+    assert qs._STAGE_CACHE["quality"][1] is stage
     a = sorted(glob.glob(str(tmp_path / "a" / "*" / "*.parquet")))
     b = sorted(glob.glob(str(tmp_path / "b" / "*" / "*.parquet")))
     assert len(a) == len(b) > 0
     assert "text" not in pq.read_schema(a[0]).names and "text" in pq.read_schema(b[0]).names
+
+
+def test_injected_scorer_is_never_reused_by_another_call():
+    """A ``ppl_scorer_factory`` has no cheap digest, so each call keys its
+    stage apart: a later call with another factory builds its own scorer."""
+    from chinese_corpus_cleaning_ray.config import DEFAULT_CONFIG
+    from chinese_corpus_cleaning_ray.stages import quality_stages as qs
+
+    class Fixed:
+        def __init__(self, ppl):
+            self.ppl = ppl
+
+        def evaluate(self, text):
+            return self.ppl, True, 1.0
+
+    cfg = replace(DEFAULT_CONFIG, enable_perplexity=True)
+    t = pa.table({"conv_id": ["c0"], "turn_idx": [0], "text": ["今天的天气非常好。"]})
+    qs._STAGE_CACHE.clear()
+    first, stamp = qs.make_quality_fn(cfg, ppl_scorer_factory=lambda: Fixed(1.0))
+    second, again = qs.make_quality_fn(cfg, ppl_scorer_factory=lambda: Fixed(2.0))
+    assert stamp == again == cfg.config_hash()
+    assert first(t).column("ppl").to_pylist() == [1.0]
+    assert second(t).column("ppl").to_pylist() == [2.0]
 
 
 # --------------------------------------------- aggregate relabels by name

@@ -246,18 +246,23 @@ def _planted_table() -> pa.Table:
     })
 
 
-def _check_against_oracle(rows: list[dict], wordlist: list[str]) -> None:
+def _check_against_oracle(rows: list[dict], wordlist: list[str], ppl=None) -> None:
+    """``ppl``: a ``PerplexityScorer`` built apart from the engine, whose
+    score joins the decision when the rows were scored with perplexity on."""
     trie = o.build_trie(wordlist)
     by_text = {r["turn_idx"]: r for r in rows}
     assert len(by_text) == len(_PLANTED)
     for i, text in enumerate(_PLANTED):
-        got, want = by_text[i], o.o_decide(trie, text)
+        ppl_score = None if ppl is None else ppl.get_perplexity_score(text)
+        got, want = by_text[i], o.o_decide(trie, text, ppl_score=ppl_score)
         assert bool(got["keep"]) == bool(want["keep"]), text
         assert got["quality_score"] == pytest.approx(want["quality_score"], abs=1e-9), text
         assert bool(got["rule_error"]) == want["error"], text
         assert got["scrubbed_text"] == o.o_scrub(trie, text), text
         assert got["sensitive_count"] == len(o.o_detect(trie, text)), text
         assert bool(got["feature_pass"]) == o.o_feature_pass(trie, text), text
+        if ppl is not None:
+            assert got["ppl_score"] == ppl_score, text
 
 
 def test_stages_match_oracle_on_planted_corpus(wordlist):
@@ -273,25 +278,70 @@ def test_stages_match_oracle_on_planted_corpus(wordlist):
     _check_against_oracle(batch.to_pylist(), wordlist)
 
 
-def test_fused_write_stage_matches_oracle_on_planted_corpus(tmp_path, wordlist):
+def _piece_rows(data) -> list[dict]:
     import pyarrow.parquet as pq
 
-    from chinese_corpus_cleaning_ray.config import DEFAULT_CONFIG as cfg
-    from chinese_corpus_cleaning_ray.state.checkpoint import (
-        FusedQualityWriteStage,
-        make_add_partition_fn,
-    )
-
-    t = make_add_partition_fn(cfg.num_partitions)(_planted_table())
-    t = t.append_column("path", pa.array(["/in/shard-0.parquet"] * t.num_rows, pa.string()))
-    data = tmp_path / "data"
-    counters = FusedQualityWriteStage(cfg, None, str(data), keep_text=True)(t)
-    assert sum(counters.column("total").to_pylist()) == len(_PLANTED)
-    assert set(counters.column("stem").to_pylist()) == {"shard-0"}
     rows = []
     for f in sorted(data.rglob("*.parquet")):
         piece = pq.read_table(f)
         keys = list(zip(piece.column("conv_id").to_pylist(), piece.column("turn_idx").to_pylist()))
         assert keys == sorted(keys), f  # pieces stay in (conv_id, turn_idx) order
         rows += piece.to_pylist()
-    _check_against_oracle(rows, wordlist)
+    return rows
+
+
+def test_quality_stage_and_writer_match_oracle_on_planted_corpus(tmp_path, wordlist):
+    from chinese_corpus_cleaning_ray.config import DEFAULT_CONFIG as cfg
+    from chinese_corpus_cleaning_ray.stages.quality_stages import QualityStage
+    from chinese_corpus_cleaning_ray.state.checkpoint import (
+        make_add_partition_fn,
+        make_piece_writer,
+    )
+
+    t = make_add_partition_fn(cfg.num_partitions)(_planted_table())
+    t = t.append_column("path", pa.array(["/in/shard-0.parquet"] * t.num_rows, pa.string()))
+    data = tmp_path / "data"
+    counters = make_piece_writer(str(data), keep_text=True)(QualityStage(cfg)(t))
+    assert sum(counters.column("total").to_pylist()) == len(_PLANTED)
+    assert set(counters.column("stem").to_pylist()) == {"shard-0"}
+    _check_against_oracle(_piece_rows(data), wordlist)
+
+
+_INJECTED = ["色情", "赌博", "广告", "spamword", "ΣΟΦΟΣ", "公园", "we"]
+
+
+@pytest.mark.parametrize("config", ["packaged", "injected", "perplexity"])
+def test_both_entry_points_match_oracle_on_planted_corpus(ray_session, tmp_path, wordlist,
+                                                          config):
+    """``build_quality_pipeline`` and ``run_quality_job`` run one stage; each
+    is pinned here to ``tests/oracle_ref.py`` on its own, with the packaged
+    list, an injected list, and perplexity from a model trained apart."""
+    from dataclasses import replace
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from chinese_corpus_cleaning_ray.config import DEFAULT_CONFIG
+    from chinese_corpus_cleaning_ray.functions.ngram_lm import NgramModel, PerplexityScorer
+    from chinese_corpus_cleaning_ray.pipelines.quality import build_quality_pipeline
+    from chinese_corpus_cleaning_ray.sources.transcripts import CLEAN_SENTENCES
+    from chinese_corpus_cleaning_ray.state.checkpoint import run_quality_job
+
+    cfg = replace(DEFAULT_CONFIG, num_partitions=4,
+                  enable_perplexity=config == "perplexity")
+    words = _INJECTED if config == "injected" else None
+    oracle_words = _INJECTED if config == "injected" else wordlist
+    ppl = None
+    if cfg.enable_perplexity:
+        model = NgramModel(n=cfg.perplexity.order, alpha=cfg.perplexity.alpha)
+        ppl = PerplexityScorer(model.train(list(CLEAN_SENTENCES)), cfg.perplexity)
+
+    rows = build_quality_pipeline(rd.from_arrow(_planted_table()), cfg, words=words)
+    _check_against_oracle(rows.take_all(), oracle_words, ppl)
+
+    src = tmp_path / "in"
+    src.mkdir()
+    pq.write_table(_planted_table(), str(src / "shard-0.parquet"))
+    totals = run_quality_job(str(src), str(tmp_path / "out"), cfg, words=words)
+    assert totals["total"] == len(_PLANTED)
+    _check_against_oracle(_piece_rows(tmp_path / "out" / "data"), oracle_words, ppl)
