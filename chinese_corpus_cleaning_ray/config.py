@@ -56,7 +56,9 @@ class PerplexityConfig:
     ppl_threshold: float = 200.0   # ref:config/config.py:36
     max_ppl: float = 10000.0       # ref:utils/lmppl_perplexity.py:23
     alpha: float = 0.01            # add-alpha smoothing of our n-gram LM (A7 lineage)
-    model_path: str | None = None  # trained-model artifact; None → train from seed corpus
+    # read by no stage (a saved model goes in through ppl_scorer_factory);
+    # kept because config_hash covers it, so removing it would change every hash
+    model_path: str | None = None
 
 
 @dataclass(frozen=True)

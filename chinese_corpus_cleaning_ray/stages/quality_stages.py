@@ -140,32 +140,28 @@ class FeatureScrubStage:
 
 
 class PplStage:
-    """n-gram perplexity (model loaded/trained once per worker).
-
-    ``cfg.perplexity.model_path`` → NgramModel.load; else the model trains on
-    the packaged clean seed pool (deterministic, ~ms). Emits ppl + ppl_pass +
-    ppl_score.
+    """n-gram perplexity (model trained once per worker on the packaged clean
+    seed pool — deterministic, ~ms). Emits ppl + ppl_pass + ppl_score.
 
     ``scorer_factory`` (optional) overrides the scorer entirely — e.g.
     ``lambda: HFPerplexityScorer(cfg.perplexity)`` for the GPT-2 forward-pass
     path on GPU clusters (ref:lmppl_perplexity.py:26-40 loads GPT-2 once per
     process, and so does ``QualityStage`` here). Any object with
-    check_perplexity / get_perplexity_score works. Default stays the
-    deterministic n-gram model so keep/drop labels never move.
+    check_perplexity / get_perplexity_score works, so a saved n-gram model is
+    ``lambda: PerplexityScorer(NgramModel.load(path), cfg.perplexity)``.
+    Default stays the deterministic n-gram model so keep/drop labels never
+    move.
     """
 
     def __init__(self, cfg: PipelineConfig, scorer_factory=None):
         if scorer_factory is not None:
             self.scorer = scorer_factory()
             return
-        if cfg.perplexity.model_path:
-            model = NgramModel.load(cfg.perplexity.model_path)
-        else:
-            from chinese_corpus_cleaning_ray.sources.transcripts import CLEAN_SENTENCES
+        from chinese_corpus_cleaning_ray.sources.transcripts import CLEAN_SENTENCES
 
-            model = NgramModel(n=cfg.perplexity.order, alpha=cfg.perplexity.alpha).train(
-                list(CLEAN_SENTENCES)
-            )
+        model = NgramModel(n=cfg.perplexity.order, alpha=cfg.perplexity.alpha).train(
+            list(CLEAN_SENTENCES)
+        )
         self.scorer = PerplexityScorer(model, cfg.perplexity)
 
     def __call__(self, batch: pa.Table, texts: list[str] | None = None) -> pa.Table:
@@ -331,23 +327,34 @@ def words_digest(words) -> str | None:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def quality_fingerprint(cfg: PipelineConfig, words=None) -> str:
+    """What ``QualityStage``'s output depends on: the config hash, plus an
+    injected list's digest (``<config_hash>-words-<digest>``)."""
+    digest = words_digest(words)
+    return cfg.config_hash() if digest is None else f"{cfg.config_hash()}-words-{digest}"
+
+
 def make_quality_fn(cfg: PipelineConfig, words=None, cluster_ref=None,
-                    ppl_scorer_factory=None):
+                    ppl_scorer_factory=None, fingerprint: str | None = None):
     """``(fn, fingerprint)``: a task-stage batch fn over ``QualityStage``,
-    and what its output depends on — the config hash, plus an injected
-    list's digest (``<config_hash>-words-<digest>``).
+    and its ``quality_fingerprint`` (pass ``fingerprint`` when it is already
+    computed for these ``cfg`` and ``words``, to skip digesting the list
+    again).
 
     The stage is built once per worker process per fingerprint, so every
     CPU's worker holds one (a 43k list's trie, the n-gram model, or the
     ``ppl_scorer_factory`` scorer — one model load per worker process, not
-    one actor). An injected ``words`` list is ``ray.put`` here, once per
-    call, and fetched by a worker only when it builds the stage.
-    ``cluster_ref`` and ``ppl_scorer_factory`` cannot be digested cheaply:
-    either one adds a per-call token to the cache key, so a later call never
-    reuses a stage built from another's."""
+    one actor, so scorer memory scales with the CPU count). An injected
+    ``words`` list is ``ray.put`` here, once per call, and fetched by a
+    worker only when it builds the stage. ``cluster_ref`` and
+    ``ppl_scorer_factory`` cannot be digested cheaply: either one adds a
+    per-call token to the cache key, so a later call never reuses a stage
+    built from another's. Such a stage stays resident in every worker that
+    built it after the Dataset finishes, until the next quality call there
+    replaces it (``cached_stage`` keeps one stage per kind)."""
     words = None if words is None else list(words)
-    digest = words_digest(words)
-    fingerprint = cfg.config_hash() if digest is None else f"{cfg.config_hash()}-words-{digest}"
+    if fingerprint is None:
+        fingerprint = quality_fingerprint(cfg, words)
     key = ("quality", fingerprint)
     if cluster_ref is not None or ppl_scorer_factory is not None:
         key += (uuid.uuid4().hex,)

@@ -28,9 +28,10 @@ Design (v2 — replaced an earlier groupby(part_id) sort-shuffle writer):
   breakdown (lineage), the input file's fingerprint (byte size, mtime in ns
   and the Parquet footer's row count) and the config hash (with an injected
   word list's digest appended). Stale manifests (config, word-list or
-  input-file change) self-invalidate; so does one without the full input
-  fingerprint, so an output dir written before mtime and rows were stamped
-  redoes each file once.
+  input-file change — resume compares the stamped size and mtime with a
+  stat, and reads no footer) self-invalidate; so does one without the full
+  input fingerprint, so an output dir written before mtime and rows were
+  stamped redoes each file once.
 - **Incremental durability:** pending files are processed in chunks of
   ``checkpoint_every`` files — one streaming execution per chunk, manifests
   committed after each chunk, so a crash loses at most one chunk of work.
@@ -54,7 +55,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from chinese_corpus_cleaning_ray.config import DEFAULT_CONFIG, PipelineConfig
-from chinese_corpus_cleaning_ray.stages.quality_stages import make_quality_fn
+from chinese_corpus_cleaning_ray.stages.quality_stages import make_quality_fn, quality_fingerprint
 
 PART_COL = "part_id"
 
@@ -250,12 +251,10 @@ def _list_input_files(input_path: str) -> list[str]:
     )
 
 
-def _input_fingerprint(path: str) -> dict:
-    """What a manifest stamps of its input file. The stat comes first, so a
-    rewrite after it leaves a stale stamp, never a fresh one."""
+def _input_stat(path: str) -> dict:
+    """What resume compares of an input file against its manifest."""
     st = os.stat(path)
-    return {"input_size": st.st_size, "input_mtime_ns": st.st_mtime_ns,
-            "input_rows": pq.read_metadata(path).num_rows}
+    return {"input_size": st.st_size, "input_mtime_ns": st.st_mtime_ns}
 
 
 def run_quality_job(
@@ -298,11 +297,8 @@ def run_quality_job(
     files = _list_input_files(input_path)
     by_stem = {_stem(p): p for p in files}
     # the manifests' fingerprint: the config, and an injected list's digest
-    quality, cfg_hash = make_quality_fn(cfg, words)
-    write = make_piece_writer(manifest.data_dir, cfg.keep_original_text)
-
-    def quality_write(batch: pa.Table) -> pa.Table:
-        return write(quality(batch))
+    words = None if words is None else list(words)
+    cfg_hash = quality_fingerprint(cfg, words)
 
     if not resume:
         for d in (manifest.manifest_dir, manifest.data_dir):
@@ -318,8 +314,9 @@ def run_quality_job(
             continue
         rec = manifest.read(stem)
         # a record without the full input fingerprint counts as changed
-        now = _input_fingerprint(by_stem[stem])
-        if rec.get("config_hash") != cfg_hash or any(rec.get(k) != v for k, v in now.items()):
+        now = _input_stat(by_stem[stem])
+        if (rec.get("config_hash") != cfg_hash or "input_rows" not in rec
+                or any(rec.get(k) != v for k, v in now.items())):
             manifest.remove(stem)
         else:
             done.add(stem)
@@ -327,6 +324,12 @@ def run_quality_job(
     pieces_cleaned = manifest.clean_pieces_except(
         done, scope=None if exclusive else set(by_stem))
     pending = [p for p in files if _stem(p) not in done]
+    if pending:  # a no-op resume ships no word list
+        quality, _ = make_quality_fn(cfg, words, fingerprint=cfg_hash)
+        write = make_piece_writer(manifest.data_dir, cfg.keep_original_text)
+
+        def quality_write(batch: pa.Table) -> pa.Table:
+            return write(quality(batch))
 
     files_this_run = 0
     cluster = cluster_cpus()
@@ -335,7 +338,10 @@ def run_quality_job(
         # one block per file, so each stem writes one piece per partition, on
         # every run; only a chunk of fewer files than CPUs splits its files,
         # into blocks of >= batch_size rows
-        inputs = {_stem(p): _input_fingerprint(p) for p in chunk}
+        # the stat comes first, so a rewrite after it leaves a stale stamp,
+        # never a fresh one
+        inputs = {_stem(p): {**_input_stat(p), "input_rows": pq.read_metadata(p).num_rows}
+                  for p in chunk}
         rows = sum(fp["input_rows"] for fp in inputs.values())
         with _READ_CREATE_LOCK:
             ds = rd.read_parquet(

@@ -53,6 +53,27 @@ def test_full_run_and_noop_resume(ray_session, input_dir, cfg, tmp_path):
     assert first.equals(_read_all_sorted(m.data_dir))
 
 
+
+def test_noop_resume_reads_no_footer_and_ships_no_word_list(
+        ray_session, input_dir, cfg, tmp_path, monkeypatch):
+    """Resume checks each manifest against one stat of its input; with
+    nothing pending, an injected word list is never ``ray.put``."""
+    import ray
+
+    from chinese_corpus_cleaning_ray.state.checkpoint import run_quality_job
+
+    out = str(tmp_path / "out")
+    words = ["spamword", "违禁词"]
+    assert run_quality_job(input_dir, out, cfg, words=words)["files_this_run"] == 5
+
+    def boom(*a, **k):
+        raise AssertionError("called on a no-op resume")
+
+    monkeypatch.setattr(ray, "put", boom)
+    monkeypatch.setattr(pq, "read_metadata", boom)
+    stats = run_quality_job(input_dir, out, cfg, words=words)
+    assert stats["files_this_run"] == 0 and stats["total"] == 5_000
+
 def test_crash_resume_equivalence(ray_session, input_dir, cfg, tmp_path):
     """Simulated crash: keep 2 manifests, delete the rest; leave one file's
     pieces orphaned (no manifest). Resume must clean orphans, reprocess only
@@ -126,10 +147,11 @@ def test_same_size_rewrite_of_a_shard_is_redone(ray_session, cfg, tmp_path):
     assert [("spamwork" in r["scrubbed_text"]) for r in rows] == [False] * 3 + [True] * 3
 
     m = Manifest(out)
-    rec = m.read("shard-0")
-    del rec["input_mtime_ns"]
-    m.mark_done("shard-0", rec)
-    assert run_quality_job(str(src), out, cfg)["files_this_run"] == 1
+    for stem, field in (("shard-0", "input_mtime_ns"), ("shard-1", "input_rows")):
+        rec = m.read(stem)
+        del rec[field]
+        m.mark_done(stem, rec)
+    assert run_quality_job(str(src), out, cfg)["files_this_run"] == 2
     assert run_quality_job(str(src), out, cfg)["files_this_run"] == 0
     assert {"input_size", "input_mtime_ns", "input_rows"} <= set(
         json.load(open(os.path.join(out, "_manifest", "file-shard-0.json"))))

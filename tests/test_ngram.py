@@ -91,25 +91,3 @@ def test_evaluate_matches_check_and_score(scorer):
         assert ppl == details["perplexity"], text
         assert ok == ok2, text
         assert score == scorer.get_perplexity_score(text), text
-
-
-def test_ppl_stage_loads_the_configured_model(model, tmp_path):
-    """``cfg.perplexity.model_path`` names the model the stage scores with;
-    without it the stage trains the packaged one."""
-    from dataclasses import replace
-
-    import pyarrow as pa
-
-    from chinese_corpus_cleaning_ray.config import DEFAULT_CONFIG
-    from chinese_corpus_cleaning_ray.stages.quality_stages import PplStage
-
-    small = NgramModel(n=3, alpha=0.5).train(list(CLEAN_SENTENCES[:2]))
-    p = str(tmp_path / "lm.json")
-    small.save(p)
-    cfg = replace(DEFAULT_CONFIG, perplexity=replace(DEFAULT_CONFIG.perplexity, model_path=p))
-    texts = [CLEAN_SENTENCES[3], "xqzj kvw 乱七八糟随机堆砌字符流水账胡言乱语"]
-    batch = pa.table({"text": texts})
-    want = [PerplexityScorer(NgramModel.load(p), cfg.perplexity).evaluate(t)[0] for t in texts]
-    assert PplStage(cfg)(batch).column("ppl").to_pylist() == want
-    default = [PerplexityScorer(model, DEFAULT_CONFIG.perplexity).evaluate(t)[0] for t in texts]
-    assert PplStage(DEFAULT_CONFIG)(batch).column("ppl").to_pylist() == default != want
