@@ -172,15 +172,6 @@ _EMO_CLASS_SQL = (
     r"\x{1F700}-\x{1F77F}\x{1F780}-\x{1F7FF}\x{1F800}-\x{1F8FF}"
     r"\x{1F900}-\x{1F9FF}\x{1FA00}-\x{1FA6F}\x{1FA70}-\x{1FAFF}"
     r"\x{2702}-\x{27B0}\x{24C2}-\x{1F251}]+")
-_SEO_SQL = [r"\d+\s*区\s*\d+", r"在线\s*播放", r"视频\s*一区\s*二区", r"久久+久+",
-            r"不卡\s*一区\s*二区", r"精品\s*视频\s*在线", r"日本\s*韩国\s*欧美"]
-_NEG_SQL = [r"不包含.*?(色情|赌博|广告)", r"没有.*?(色情|赌博|广告)",
-            r"禁止.*?(色情|赌博|广告)", r"反对.*?(色情|赌博|广告)",
-            r"拒绝.*?(色情|赌博|广告)"]
-_HIGH_WEIGHT_SQL = ["色情", "赌博", "特价", "促销", "优惠", "免费", "限时",
-                    "加qq", "加微信", "http://", "www.", "点击", "链接",
-                    "联系电话", "约炮", "一夜情"]
-_COMMON_SQL = {"系统", "手机", "电话", "网络", "联系", "人才", "招聘"}
 
 
 def _effective_feature_words() -> list[str]:
@@ -260,16 +251,25 @@ def _keep_label_sql(derive_sql: str, keys: str = "conv_id, turn_idx") -> str:
     0.01/0.1 (keep via transcripts_conv_keep_full, the full float columns
     via doc_quality). The word-membership sums use list_filter, not a CASE
     chain — DuckDB's binder recursion cap (128) rejects 120-term '+'
-    chains."""
-    eff = [w for w in _effective_feature_words() if w not in _COMMON_SQL]
+    chains. The keyword lists and patterns are the kernel's own constants,
+    so the oracle cannot drift from them (a high-weight keyword with an
+    upper-case letter never fires on lowercased text, in either)."""
+    from chinese_corpus_cleaning_ray.functions.features import (
+        COMMON_WORDS,
+        HIGH_WEIGHT_KEYWORDS,
+        NEGATIVE_CONTEXT_RES,
+    )
+    from chinese_corpus_cleaning_ray.functions.rules import SEO_SPAM_RES
+
+    eff = [w for w in _effective_feature_words() if w not in COMMON_WORDS]
     eff_list = ", ".join(f"'{_sql_quote(w)}'" for w in eff)
-    hw_list = ", ".join(f"'{_sql_quote(w)}'" for w in _HIGH_WEIGHT_SQL)
+    hw_list = ", ".join(f"'{_sql_quote(w)}'" for w in HIGH_WEIGHT_KEYWORDS)
     uniq_terms = f"len(list_filter([{eff_list}], w -> contains(lt, w)))"
     hw_terms = f"3 * len(list_filter([{hw_list}], w -> contains(lt, w)))"
     neg_terms = " OR ".join(
-        f"regexp_matches(text, '{_sql_quote(p)}')" for p in _NEG_SQL)
+        f"regexp_matches(text, '{_sql_quote(p.pattern)}')" for p in NEGATIVE_CONTEXT_RES)
     seo_terms = " OR ".join(
-        f"regexp_matches(text, '{_sql_quote(p)}')" for p in _SEO_SQL)
+        f"regexp_matches(text, '{_sql_quote(p.pattern)}')" for p in SEO_SPAM_RES)
     return f"""
 t AS (SELECT {keys}, text FROM ({derive_sql})),
 m AS (

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, asdict
 import hashlib
 import json
+import unicodedata
 
 
 @dataclass(frozen=True)
@@ -56,9 +57,6 @@ class PerplexityConfig:
     ppl_threshold: float = 200.0   # ref:config/config.py:36
     max_ppl: float = 10000.0       # ref:utils/lmppl_perplexity.py:23
     alpha: float = 0.01            # add-alpha smoothing of our n-gram LM (A7 lineage)
-    # read by no stage (a saved model goes in through ppl_scorer_factory);
-    # kept because config_hash covers it, so removing it would change every hash
-    model_path: str | None = None
 
 
 @dataclass(frozen=True)
@@ -115,9 +113,13 @@ class PipelineConfig:
         manifests. num_partitions and keep_original_text stay IN the hash: both
         change the on-disk layout/schema, so resuming across a change of either
         must invalidate (mixing two part_id layouts in one dir is corruption).
-        Only pure execution-throughput knobs are excluded."""
+        Only pure execution-throughput knobs are excluded. The Unicode
+        database version is in it too: the character classes every check
+        uses come from it, so a Python upgrade that moves them invalidates
+        manifests instead of silently changing labels."""
         d = asdict(self)
         d.pop("batch_size")
+        d["unidata_version"] = unicodedata.unidata_version
         blob = json.dumps(d, sort_keys=True, ensure_ascii=False).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 

@@ -15,7 +15,10 @@ paths:
 
 Model: character-level order-n counts with add-alpha smoothing and
 shorten-the-context backoff for unseen histories. Deterministic given the
-training corpus.
+training corpus. Training compiles the counts into per-context log2 tables
+and scoring looks each position up through a capped per-model memo of the
+backoff result (see ``NgramModel``); the arithmetic is the per-position
+formula's, so perplexities are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from chinese_corpus_cleaning_ray.functions.textclean import (
 
 _BOS = "\x02"
 _EOS = "\x03"  # sentence terminator (the '</s>' of the deleted module)
+# memo entries per model before it is cleared: ≈ 7 MB at ≈ 107 B an entry
+_MEMO_CAP = 1 << 16
 
 
 class NgramModel:
@@ -41,6 +46,20 @@ class NgramModel:
     back off to the longest seen suffix, bottoming out at the unigram
     distribution. Perplexity = 2^(-mean log2 P) over the char stream + EOS,
     matching the deleted module's formula (SURVEY §0).
+
+    ``counts`` is compiled at ``train``/``load`` into one table per context:
+    ``{char: log2 P(char | ctx)}`` for the chars seen after it, plus the
+    unseen-char value ``log2(α / den)``, with ``den = count(ctx) + α·V``
+    computed by the same int sum and float operations as the formula above,
+    so every log2 is the same float it would be if computed per position.
+    A memo maps each text context (the n−1 chars before a position) to the
+    table of its longest suffix in ``counts``, i.e. the backoff result; it is
+    cleared when it reaches ``_MEMO_CAP`` entries, which bounds its memory
+    (≈ 107 B an entry) and changes no value. ``perplexity`` adds the looked-up
+    log2 values in stream order, as the per-position formula does, so its
+    result is bit-identical to it (pinned by tests against
+    ``tests/oracle_ref.py``). The tables are derived state: ``save`` writes
+    only n, alpha, vocab and counts.
     """
 
     def __init__(self, n: int = 5, alpha: float = 0.01):
@@ -48,6 +67,7 @@ class NgramModel:
         self.alpha = alpha
         self.counts: dict[str, dict[str, int]] = {}  # context -> {char: count}
         self.vocab: set[str] = set()
+        self._compile()
 
     def train(self, texts: list[str]) -> "NgramModel":
         for text in texts:
@@ -60,30 +80,46 @@ class NgramModel:
                     ctx = stream[i - k : i]
                     bucket = self.counts.setdefault(ctx, {})
                     bucket[ch] = bucket.get(ch, 0) + 1
+        self._compile()  # V and every context total may have changed
         return self
 
-    def _prob(self, ctx: str, ch: str) -> float:
+    def _compile(self) -> None:
         v = max(1, len(self.vocab))
         a = self.alpha
-        while True:
-            bucket = self.counts.get(ctx)
-            if bucket is not None:
-                total = sum(bucket.values())
-                return (bucket.get(ch, 0) + a) / (total + a * v)
+        tables = {}
+        for ctx, bucket in self.counts.items():
+            den = sum(bucket.values()) + a * v
+            tables[ctx] = ({ch: math.log2((k + a) / den) for ch, k in bucket.items()},
+                           math.log2(a / den))
+        self._tables = tables
+        self._empty = ({}, math.log2(1.0 / v))  # no context at all: the empty model
+        self._memo: dict[str, tuple[dict[str, float], float]] = {}
+
+    def _backoff(self, ctx: str) -> tuple[dict[str, float], float]:
+        tables = self._tables
+        while ctx not in tables:
             if not ctx:
-                return 1.0 / v  # empty model
+                return self._empty
             ctx = ctx[1:]
+        return tables[ctx]
 
     def perplexity(self, text: str) -> float:
         if not text:
             return float("inf")
-        stream = _BOS * (self.n - 1) + text + _EOS
-        log_sum, count = 0.0, 0
-        for i in range(self.n - 1, len(stream)):
-            p = self._prob(stream[i - self.n + 1 : i], stream[i])
-            log_sum += math.log2(p)
-            count += 1
-        return 2 ** (-log_sum / count)
+        n1 = self.n - 1
+        stream = _BOS * n1 + text + _EOS
+        memo = self._memo
+        log_sum = 0.0
+        for i, ch in enumerate(stream[n1:]):
+            ctx = stream[i : i + n1]
+            try:
+                table, unseen = memo[ctx]
+            except KeyError:
+                if len(memo) >= _MEMO_CAP:
+                    memo.clear()
+                table, unseen = memo[ctx] = self._backoff(ctx)
+            log_sum += table.get(ch, unseen)
+        return 2 ** (-log_sum / (len(text) + 1))
 
     # -- persistence (JSON, not pickle — deterministic and audit-friendly) ---
 
@@ -107,6 +143,7 @@ class NgramModel:
         m = cls(n=d["n"], alpha=d["alpha"])
         m.vocab = set(d["vocab"])
         m.counts = {ctx: {c: int(v) for c, v in b.items()} for ctx, b in d["counts"].items()}
+        m._compile()
         return m
 
 

@@ -71,6 +71,7 @@ def run_crawl_job(warc_paths, out_dir: str, langid_cfg=None,
     )
     from chinese_corpus_cleaning_ray.sources.warc import parse_warc_bytes
     from chinese_corpus_cleaning_ray.stages.analysis import strip_html_text
+    from chinese_corpus_cleaning_ray.state.checkpoint import _input_stat
 
     cfg = langid_cfg or LangIdConfig()
     # dataclass repr is deterministic → stable config fingerprint; a changed
@@ -91,10 +92,13 @@ def run_crawl_job(warc_paths, out_dir: str, langid_cfg=None,
         marker = os.path.join(done_dir, _tag(p) + ".json")
         if resume and os.path.exists(marker):
             rec = json.load(open(marker))
-            if (rec.get("input_size") == os.path.getsize(p)
-                    and rec.get("config_hash") == cfg_hash):
+            if (rec.get("config_hash") == cfg_hash
+                    and all(rec.get(k) == v for k, v in _input_stat(p).items())):
                 done[p] = rec
     pending = [p for p in files if p not in done]
+    # stamped from a stat taken before the shard is read: a rewrite during
+    # the run leaves a stale stamp, so the next resume redoes it
+    stats = {p: _input_stat(p) for p in pending}
 
     # sweep pieces not committed under THIS input set + config: crash
     # residue, config-invalidated shards, and inputs dropped from the set.
@@ -157,7 +161,7 @@ def run_crawl_job(warc_paths, out_dir: str, langid_cfg=None,
             .to_pandas()
         )
         for _, r in counters.iterrows():
-            rec = {"input_size": os.path.getsize(r["path"]),
+            rec = {**stats[r["path"]],
                    "config_hash": cfg_hash,
                    "records_in": int(r["records_in"]),
                    "pages_kept": int(r["pages_kept"]),

@@ -12,6 +12,8 @@ Semantics sources (see SURVEY §7.1):
 - composite keep decision:       ref:text_quality_filter/main.py:135-251 with
   GENERAL_CONFIG defaults (rule+feature enabled, weights .3/.5, threshold .8 —
   ref:config/config.py:47-61)
+- n-gram perplexity:             the per-position backoff model the engine's
+  compiled ``functions/ngram_lm.NgramModel`` must equal bit for bit
 - empty text: reference get_rule_score divides by len(text) in the obvious-spam
   URL check (ref:rule_filter.py:383) → ZeroDivisionError → the driver records
   an error and does not keep the file (ref:main.py:130-133,304-307).
@@ -19,6 +21,8 @@ Semantics sources (see SURVEY §7.1):
 
 from __future__ import annotations
 
+import json
+import math
 import re
 
 MIN_TEXT_LENGTH = 100
@@ -286,3 +290,70 @@ def o_decide(trie: dict, text: str, ppl_score: float | None = None) -> dict:
     q = num / den
     return {"keep": q >= QUALITY_THRESHOLD, "quality_score": q, "error": error,
             "rule_score": rule, "feature_score": feature}
+
+
+# ------------------------------------------------------------ n-gram perplexity
+
+_BOS = "\x02"
+_EOS = "\x03"
+
+
+class RefNgramModel:
+    """The engine's n-gram model as first written: it sums a context's counts
+    and calls log2 at every position. The compiled model must give the same
+    floats and write the same JSON."""
+
+    def __init__(self, n: int = 5, alpha: float = 0.01):
+        self.n = n
+        self.alpha = alpha
+        self.counts: dict[str, dict[str, int]] = {}  # context -> {char: count}
+        self.vocab: set[str] = set()
+
+    def train(self, texts: list[str]) -> "RefNgramModel":
+        for text in texts:
+            stream = _BOS * (self.n - 1) + text + _EOS
+            self.vocab.update(text)
+            self.vocab.add(_EOS)
+            for i in range(self.n - 1, len(stream)):
+                ch = stream[i]
+                for k in range(self.n - 1, -1, -1):  # all context lengths incl. unigram
+                    ctx = stream[i - k : i]
+                    bucket = self.counts.setdefault(ctx, {})
+                    bucket[ch] = bucket.get(ch, 0) + 1
+        return self
+
+    def _prob(self, ctx: str, ch: str) -> float:
+        v = max(1, len(self.vocab))
+        a = self.alpha
+        while True:
+            bucket = self.counts.get(ctx)
+            if bucket is not None:
+                total = sum(bucket.values())
+                return (bucket.get(ch, 0) + a) / (total + a * v)
+            if not ctx:
+                return 1.0 / v  # empty model
+            ctx = ctx[1:]
+
+    def perplexity(self, text: str) -> float:
+        if not text:
+            return float("inf")
+        stream = _BOS * (self.n - 1) + text + _EOS
+        log_sum, count = 0.0, 0
+        for i in range(self.n - 1, len(stream)):
+            p = self._prob(stream[i - self.n + 1 : i], stream[i])
+            log_sum += math.log2(p)
+            count += 1
+        return 2 ** (-log_sum / count)
+
+    def save(self, path: str) -> None:
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(
+                {
+                    "n": self.n,
+                    "alpha": self.alpha,
+                    "vocab": sorted(self.vocab),
+                    "counts": {ctx: bucket for ctx, bucket in self.counts.items()},
+                },
+                f,
+                ensure_ascii=False,
+            )

@@ -113,3 +113,34 @@ def test_query_matches_oracle(entry_mod, con, name):
     ray_df = _to_df(entry_mod.queries()[name](SF_DIR))
     sql_df = con.execute(entry_mod.oracle_sql()[name]).df()
     assert_frames_match(ray_df, sql_df, name)
+
+
+def test_keep_label_oracle_on_planted_rows(entry_mod, wordlist):
+    """The keep-label SQL restates the kernel's keyword lists; planted rows
+    hit each list, and every label must equal ``tests/oracle_ref.py``'s.
+    ``加QQ`` is a high-weight keyword the kernel tests against lowercased
+    text, so it never fires there and must not fire in the SQL either."""
+    import oracle_ref as o
+
+    body = "今天我们一起讨论分布式数据处理系统的设计原则与实现细节问题，大家都很认真地参与了。"
+    texts = [
+        body + "有需要的朋友请加QQ详细咨询。" + body,
+        body + "限时特价促销活动现在开始。" + body,
+        body + "本站内容不包含任何色情信息。" + body,
+        body + "高清视频在线播放。" + body,
+        body + "联系电话是多少呢，手机和系统都可以。" + body,
+    ]
+    con = duckdb.connect()
+    con.execute("CREATE TABLE planted AS SELECT * FROM (VALUES "
+                + ", ".join(f"({i}, '{t}')" for i, t in enumerate(texts))
+                + ") v(doc_id, text)")
+    got = con.execute(
+        f"WITH {entry_mod._keep_label_sql('SELECT doc_id, text FROM planted', keys='doc_id')} "
+        "SELECT doc_id, rule_score, feature_score, quality_score, keep FROM k ORDER BY doc_id"
+    ).fetchall()
+    trie = o.build_trie(wordlist)
+    for (doc_id, rule, feature, quality, keep), text in zip(got, texts):
+        want = o.o_decide(trie, text)
+        assert (rule, feature, quality, keep) == (
+            want["rule_score"], want["feature_score"], want["quality_score"], want["keep"]
+        ), (doc_id, text)

@@ -51,6 +51,18 @@ def test_config_hash_includes_layout_knobs():
     assert replace(DEFAULT_CONFIG, batch_size=1024).config_hash() == base
 
 
+def test_config_hash_includes_unicode_version(monkeypatch):
+    """Character classes come from the interpreter's Unicode database, so a
+    Python upgrade must invalidate checkpoints."""
+    import unicodedata
+
+    from chinese_corpus_cleaning_ray.config import DEFAULT_CONFIG
+
+    base = DEFAULT_CONFIG.config_hash()
+    monkeypatch.setattr(unicodedata, "unidata_version", "0.0.0")
+    assert DEFAULT_CONFIG.config_hash() != base
+
+
 def test_compact_crash_recovery_rolls_forward_and_back(ray_session, input_dir, cfg, tmp_path):
     """Journal present + merged piece committed → surviving sources are
     deleted (roll forward, no duplicate rows). Journal present + no merged

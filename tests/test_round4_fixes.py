@@ -267,6 +267,36 @@ def test_crawl_resume_invalidates_on_config_change(ray_session, tmp_path):
     assert len(pads.dataset(out).to_table()) == 2
 
 
+def test_crawl_resume_redoes_same_size_rewrite(ray_session, tmp_path):
+    import json
+
+    from chinese_corpus_cleaning_ray.pipelines.crawl import run_crawl_job
+
+    paths = _write_zh_shards(tmp_path, 2)
+    out = str(tmp_path / "pages")
+    assert run_crawl_job(str(tmp_path), out)["files_this_run"] == 2
+
+    # rewrite shard0 in place at the same size: only the mtime tells
+    old = paths[0].read_bytes()
+    new = old.replace(b"http://shard0.example/", b"http://shard9.example/")
+    assert new != old and len(new) == len(old)
+    before = paths[0].stat().st_mtime_ns
+    paths[0].write_bytes(new)
+    os.utime(paths[0], ns=(before, before + 1_000_000_000))
+    s2 = run_crawl_job(str(tmp_path), out)
+    assert s2["files_this_run"] == 1 and s2["pages_kept"] == 2
+    uris = pads.dataset(out).to_table().column("target_uri").to_pylist()
+    assert sorted(uris) == ["http://shard1.example/", "http://shard9.example/"]
+
+    # a marker without the mtime (written before it was stamped) is stale
+    marker = next(p for p in (tmp_path / "pages" / "_done").iterdir() if p.name.startswith("shard1"))
+    rec = json.loads(marker.read_text())
+    del rec["input_mtime_ns"]
+    marker.write_text(json.dumps(rec))
+    assert run_crawl_job(str(tmp_path), out)["files_this_run"] == 1
+    assert run_crawl_job(str(tmp_path), out)["files_this_run"] == 0
+
+
 def test_crawl_resume_sweeps_pieces_of_removed_inputs(ray_session, tmp_path):
     from chinese_corpus_cleaning_ray.pipelines.crawl import run_crawl_job
 
