@@ -18,7 +18,9 @@ its docstring.
 
 from __future__ import annotations
 
+import functools
 import os
+import re
 from collections.abc import Callable
 from typing import Any
 
@@ -116,15 +118,46 @@ def _rule_metrics_batch(batch: pa.Table) -> pa.Table:
     return pa.table(out)
 
 
-_RULE_METRIC_SQL_COLS = f"""
+@functools.lru_cache(maxsize=None)
+def _py_class_sql(char_pattern: str) -> str:
+    """RE2 class body listing, as codepoint ranges, every character Python's
+    ``re`` matches with the one-character ``char_pattern``. RE2's ``\\s``,
+    ``\\w`` and ``\\p{..}`` differ from Python's unicode classes (``\\x0b``
+    and ``\\x1c``-``\\x1f`` are whitespace only in Python, and the Unicode
+    versions differ), so the oracle spells out Python's own set. Surrogates
+    are skipped: UTF-8 text cannot hold them."""
+    rx = re.compile(f"(?:{char_pattern})+")
+    parts = []
+    for lo, hi in ((0, 0xD800), (0xE000, 0x110000)):
+        for m in rx.finditer("".join(map(chr, range(lo, hi)))):
+            a, b = lo + m.start(), lo + m.end() - 1
+            parts.append(f"\\x{{{a:X}}}" if a == b else f"\\x{{{a:X}}}-\\x{{{b:X}}}")
+    return "".join(parts)
+
+
+def _py_ws() -> str:
+    """Python's unicode ``\\s`` (what ``str.strip`` and ``str.split`` drop)
+    as an RE2 class body."""
+    return _py_class_sql(r"\s")
+
+
+def _avg_line_sql() -> str:
+    """Mean length of the lines ``str.strip`` leaves non-empty
+    (functions/rules.py:rule_stats); NULL when there are none."""
+    return (f"list_avg([length(l) for l in str_split(text, chr(10)) "
+            f"if regexp_matches(l, '[^{_py_ws()}]')])")
+
+
+def _rule_metric_sql_cols() -> str:
+    return f"""
            length(text) AS n_chars,
            length(regexp_replace(text, '[^一-鿿]', '', 'g')) AS zh_chars,
            length(text) - length(replace(text, '|', '')) AS vbar_count,
            length(text) - length(replace(text, ',', '')) AS comma_count,
            length(regexp_extract_all(text, '{_URL_PATTERN.replace("'", "''")}')) AS url_count,
-           COALESCE(list_avg([length(l) for l in str_split(text, chr(10)) if trim(l) <> '']), -1.0) AS avg_line_len,
+           COALESCE({_avg_line_sql()}, -1.0) AS avg_line_len,
            length(text) >= 100 AS length_pass,
-           COALESCE(list_avg([length(l) for l in str_split(text, chr(10)) if trim(l) <> '']) >= 5.0, false) AS avg_line_pass,
+           COALESCE({_avg_line_sql()} >= 5.0, false) AS avg_line_pass,
            (length(text) > 0 AND length(regexp_replace(text, '[^一-鿿]', '', 'g')) / length(text) >= 0.6) AS chinese_pass,
            (length(text) > 0 AND (length(text) - length(replace(text, '|', ''))) / length(text) <= 0.005) AS vbar_pass,
            (length(text) > 0 AND (length(text) - length(replace(text, ',', ''))) / length(text) <= 0.05) AS comma_pass,
@@ -162,9 +195,6 @@ _LANGID_SQL_COLS = """
 # Full composite-keep SQL restatement (rule score + feature score + decision)
 # ---------------------------------------------------------------------------
 
-# Python [^\w\s一-鿿] under unicode semantics → RE2 unicode classes (\p{Z}
-# covers the non-ASCII whitespace Python's \s accepts, e.g. U+3000)
-_SYM_CLASS_SQL = r"[^\p{L}\p{N}_\s\p{Z}\x{85}一-鿿]"
 # functions/rules.py:40-46 EMOJI_RE, \UXXXXXXXX → RE2 \x{...}; the +
 # preserves run (not char) counting
 _EMO_CLASS_SQL = (
@@ -193,11 +223,6 @@ def _sql_quote(s: str) -> str:
     return s.replace("'", "''")
 
 
-# Python's unicode \s, as an RE2 class body: RE2's \s is ASCII-only, so add
-# \p{Z} (separators incl. U+3000), NEL, and the \x1c-\x1f file separators
-_PY_WS = r"\s\p{Z}\x{85}\x{1C}-\x{1F}"
-
-
 def _token_stats_sql() -> str:
     """Bit-exact SQL restatement of the add_token_stats operator, with the
     char classes built from functions/tokens.py's own constants so the
@@ -210,10 +235,10 @@ def _token_stats_sql() -> str:
     stop_cls = "".join(_re.escape(c) for c in sorted(_ZH_STOPWORDS))
     # tokens.py _BPE_RE with Python-\s semantics spelled out for RE2
     bpe_pat = (r"''(?:s|t|re|ve|m|ll|d)| ?[A-Za-z]+| ?[0-9]+|[一-鿿]"
-               f"|[^{_PY_WS}A-Za-z0-9一-鿿]")
+               f"|[^{_py_ws()}A-Za-z0-9一-鿿]")
     return f"""
         SELECT doc_id,
-               CAST(length(regexp_extract_all(text, '[^{_PY_WS}]+')) AS BIGINT) AS ws_tokens,
+               CAST(length(regexp_extract_all(text, '[^{_py_ws()}]+')) AS BIGINT) AS ws_tokens,
                CAST(length(regexp_extract_all(text, '{bpe_pat}')) AS BIGINT) AS bpe_tokens,
                length(text) AS n_chars,
                CASE WHEN length(text) = 0 THEN 0.0 ELSE
@@ -259,7 +284,7 @@ def _keep_label_sql(derive_sql: str, keys: str = "conv_id, turn_idx") -> str:
         HIGH_WEIGHT_KEYWORDS,
         NEGATIVE_CONTEXT_RES,
     )
-    from chinese_corpus_cleaning_ray.functions.rules import SEO_SPAM_RES
+    from chinese_corpus_cleaning_ray.functions.rules import SEO_SPAM_RES, SYMBOL_RE
 
     eff = [w for w in _effective_feature_words() if w not in COMMON_WORDS]
     eff_list = ", ".join(f"'{_sql_quote(w)}'" for w in eff)
@@ -276,12 +301,12 @@ m AS (
   SELECT {keys}, text, lower(text) AS lt,
     length(text) AS n,
     length(regexp_replace(text, '[^一-鿿]', '', 'g')) AS zh,
-    length(regexp_extract_all(text, '{_SYM_CLASS_SQL}')) AS sym_c,
+    length(regexp_extract_all(text, '[{_py_class_sql(SYMBOL_RE.pattern)}]')) AS sym_c,
     length(text) - length(replace(text, '|', '')) AS vbar,
     length(text) - length(replace(text, ',', '')) AS comma_c,
     length(regexp_extract_all(text, '{_sql_quote(_URL_PATTERN)}')) AS url_c,
     length(regexp_extract_all(text, '{_EMO_CLASS_SQL}')) AS emo_runs,
-    list_avg([length(l) for l in str_split(text, chr(10)) if trim(l) <> '']) AS avg_line,
+    {_avg_line_sql()} AS avg_line,
     CASE WHEN length(text) >= 13 THEN
       1.0 - CAST(len(list_distinct([substr(text, i, 13)
                  for i in generate_series(1, length(text) - 12)])) AS DOUBLE)
@@ -3415,7 +3440,7 @@ def oracle_sql() -> dict[str, str]:
             FROM h ORDER BY hour_bucket
         """,
         "doc_rule_metrics": f"""
-            SELECT doc_id, {_RULE_METRIC_SQL_COLS}
+            SELECT doc_id, {_rule_metric_sql_cols()}
             FROM documents ORDER BY doc_id
         """,
         "doc_langid": f"""
@@ -4107,7 +4132,7 @@ def oracle_sql() -> dict[str, str]:
                                     % 2147483648, doc_id
                            ROWS UNBOUNDED PRECEDING) AS cum
                 FROM (SELECT doc_id, source,
-                             CAST(length(regexp_extract_all(text, '[^{_PY_WS}]+'))
+                             CAST(length(regexp_extract_all(text, '[^{_py_ws()}]+'))
                                   AS BIGINT) AS ws_tokens
                       FROM documents))
             WHERE cum <= 400 ORDER BY doc_id
@@ -4378,7 +4403,7 @@ def oracle_sql() -> dict[str, str]:
             ORDER BY conv_id, turn_idx
         """,
         "transcripts_rule_metrics": f"""
-            SELECT conv_id, turn_idx, {_RULE_METRIC_SQL_COLS}
+            SELECT conv_id, turn_idx, {_rule_metric_sql_cols()}
             FROM ({_DERIVE_SQL})
             ORDER BY conv_id, turn_idx
         """,

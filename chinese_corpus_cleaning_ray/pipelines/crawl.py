@@ -71,7 +71,7 @@ def run_crawl_job(warc_paths, out_dir: str, langid_cfg=None,
     )
     from chinese_corpus_cleaning_ray.sources.warc import parse_warc_bytes
     from chinese_corpus_cleaning_ray.stages.analysis import strip_html_text
-    from chinese_corpus_cleaning_ray.state.checkpoint import _input_stat
+    from chinese_corpus_cleaning_ray.state.checkpoint import _input_stat, one_operator_plan
 
     cfg = langid_cfg or LangIdConfig()
     # dataclass repr is deterministic → stable config fingerprint; a changed
@@ -155,11 +155,9 @@ def run_crawl_job(warc_paths, out_dir: str, langid_cfg=None,
 
     files_this_run = 0
     if pending:
-        counters = (
-            rd.read_binary_files(pending, include_paths=True)
-            .flat_map(process)
-            .to_pandas()
-        )
+        counters = one_operator_plan(
+            rd.read_binary_files(pending, include_paths=True).flat_map(process)
+        ).to_pandas()
         for _, r in counters.iterrows():
             rec = {**stats[r["path"]],
                    "config_hash": cfg_hash,

@@ -35,9 +35,18 @@ Design (v2 — replaced an earlier groupby(part_id) sort-shuffle writer):
 - **Incremental durability:** pending files are processed in chunks of
   ``checkpoint_every`` files — one streaming execution per chunk, manifests
   committed after each chunk, so a crash loses at most one chunk of work.
+- **Scheduling:** each chunk's plan fuses into ONE operator
+  (``ReadParquet->MapBatches(add_part)->MapBatches(quality_write)``) whose
+  only output is a few KB of counter rows, so it runs without Ray Data's
+  per-operator reservation and every task of the chunk starts at once, paced
+  by the CPU slots (``one_operator_plan`` says why). That holds only for a
+  one-operator plan: ``build_quality_pipeline`` returns a Dataset that
+  callers chain more operators onto, and it keeps reservation on.
 - **Crash cleanup:** pieces are named by their input stem; on resume every
   piece whose stem has no valid manifest is deleted before re-processing, so
-  reruns cannot duplicate rows.
+  reruns cannot duplicate rows, and so is every half-written
+  ``.<stem>-<uuid>.tmp`` that a crash between a piece's write and its rename
+  left behind.
 """
 
 from __future__ import annotations
@@ -123,11 +132,14 @@ class Manifest:
 
     def clean_pieces_except(self, valid_stems: set[str],
                             scope: set[str] | None = None) -> int:
-        """Delete data pieces whose input stem is not committed (crash
-        residue). ``scope=None`` → the job owns the whole output dir, any
-        unknown stem is residue. A non-None ``scope`` (multi-writer mode)
-        restricts cleanup to THIS writer's input stems so concurrent writers
-        on disjoint input sets never delete each other's in-flight pieces."""
+        """Delete crash residue: data pieces whose input stem is not
+        committed, and every half-written ``.<stem>-<uuid>.tmp`` (a crash
+        between a piece's write and its rename; no task of this job is
+        running yet, so none is in flight). ``scope=None`` → the job owns the
+        whole output dir, any unknown stem is residue. A non-None ``scope``
+        (multi-writer mode) restricts cleanup to THIS writer's input stems so
+        concurrent writers on disjoint input sets never delete each other's
+        in-flight pieces."""
         removed = 0
         if not os.path.isdir(self.data_dir):
             return 0
@@ -136,12 +148,11 @@ class Manifest:
             if not (d.startswith(f"{PART_COL}=") and os.path.isdir(pdir)):
                 continue
             for f in os.listdir(pdir):
-                if not f.endswith(".parquet"):
+                tmp = f.startswith(".") and f.endswith(".tmp")  # .<input-stem>-<uuid>.tmp
+                if not (tmp or f.endswith(".parquet")):
                     continue
-                stem = f.rsplit("-", 1)[0]  # <input-stem>-<uuid>.parquet
-                if scope is not None and stem not in scope:
-                    continue
-                if stem not in valid_stems:
+                stem = (f[1:] if tmp else f).rsplit("-", 1)[0]  # <input-stem>-<uuid>.parquet
+                if (tmp or stem not in valid_stems) and (scope is None or stem in scope):
                     os.remove(os.path.join(pdir, f))
                     removed += 1
         return removed
@@ -239,6 +250,23 @@ def make_piece_writer(data_dir: str, keep_text: bool):
 # dataset CREATION (metadata-only, microseconds) so threaded multi-writer
 # drivers can't trip it; execution itself stays fully concurrent.
 _READ_CREATE_LOCK = threading.Lock()
+
+
+def one_operator_plan(ds):
+    """Let every task of ``ds`` go to Ray core at once; return ``ds``.
+
+    For a plan that fuses into ONE operator whose output is a few counter
+    rows. Ray Data's per-operator reservation charges each task of an
+    operator that has not finished a task yet ``target_max_block_size × 2``
+    (256 MiB) of object store against a reserved budget of 0 B, so the first
+    task runs alone, and later tasks start in 100 ms dispatch rounds. That
+    reservation only keeps one operator of a multi-operator plan from
+    starving another, which a one-operator plan cannot do; without it the
+    CPU slots pace the tasks. The setting goes on ``ds.context``, the
+    Dataset's own copy, never on ``DataContext.get_current()``: a plan that
+    chains more operators still needs it."""
+    ds.context.op_resource_reservation_enabled = False
+    return ds
 
 
 def _list_input_files(input_path: str) -> list[str]:
@@ -351,8 +379,8 @@ def run_quality_job(
             )
         ds = ds.map_batches(make_add_partition_fn(cfg.num_partitions), batch_format="pyarrow",
                             batch_size=None)
-        counters = ds.map_batches(quality_write, batch_format="pyarrow",
-                                  batch_size=None).to_pandas()
+        counters = one_operator_plan(ds.map_batches(quality_write, batch_format="pyarrow",
+                                                    batch_size=None)).to_pandas()
 
         stems_with_rows = set()
         for stem, g in counters.groupby("stem"):

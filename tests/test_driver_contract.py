@@ -116,24 +116,35 @@ def test_query_matches_oracle(entry_mod, con, name):
 
 
 def test_keep_label_oracle_on_planted_rows(entry_mod, wordlist):
-    """The keep-label SQL restates the kernel's keyword lists; planted rows
-    hit each list, and every label must equal ``tests/oracle_ref.py``'s.
-    ``加QQ`` is a high-weight keyword the kernel tests against lowercased
-    text, so it never fires there and must not fire in the SQL either."""
+    """The keep-label SQL restates the kernel's keyword lists and character
+    classes; planted rows hit each list and class, and every label must
+    equal ``tests/oracle_ref.py``'s. ``加QQ`` is a high-weight keyword the
+    kernel tests against lowercased text, so it never fires there and must
+    not fire in the SQL either. ``\\x0b`` and ``\\x1c``-``\\x1f`` are
+    whitespace to Python's ``re`` (not symbols), and a tab-only line is blank
+    to ``str.strip``; RE2's ``\\s`` and DuckDB's ``trim`` see neither."""
+    from chinese_corpus_cleaning_ray.functions.rules import rule_stats
+
     import oracle_ref as o
 
     body = "今天我们一起讨论分布式数据处理系统的设计原则与实现细节问题，大家都很认真地参与了。"
+    short = "今天我们一起讨论数据处理"
     texts = [
         body + "有需要的朋友请加QQ详细咨询。" + body,
         body + "限时特价促销活动现在开始。" + body,
         body + "本站内容不包含任何色情信息。" + body,
         body + "高清视频在线播放。" + body,
         body + "联系电话是多少呢，手机和系统都可以。" + body,
+        short + "\x0b" * 5,
+        short + "\x1c\x1d\x1e\x1f\x1c",
+        short + "\u3000" * 5,
+        short + "\u0130" * 3 + "\u0130bc" + body,
+        short + "系统的设计原则" + "\n\t" * 10,
+        body + "\n\t\n" + body,
     ]
     con = duckdb.connect()
-    con.execute("CREATE TABLE planted AS SELECT * FROM (VALUES "
-                + ", ".join(f"({i}, '{t}')" for i, t in enumerate(texts))
-                + ") v(doc_id, text)")
+    con.execute("CREATE TABLE planted (doc_id INTEGER, text VARCHAR)")
+    con.executemany("INSERT INTO planted VALUES (?, ?)", list(enumerate(texts)))
     got = con.execute(
         f"WITH {entry_mod._keep_label_sql('SELECT doc_id, text FROM planted', keys='doc_id')} "
         "SELECT doc_id, rule_score, feature_score, quality_score, keep FROM k ORDER BY doc_id"
@@ -144,3 +155,28 @@ def test_keep_label_oracle_on_planted_rows(entry_mod, wordlist):
         assert (rule, feature, quality, keep) == (
             want["rule_score"], want["feature_score"], want["quality_score"], want["keep"]
         ), (doc_id, text)
+    lines = con.execute(f"SELECT avg_line_len FROM (SELECT doc_id, {entry_mod._rule_metric_sql_cols()} "
+                        "FROM planted) ORDER BY doc_id").fetchall()
+    for (avg,), text in zip(lines, texts):
+        want = rule_stats(text).avg_line_len
+        assert avg == (-1.0 if want is None else want), text
+
+
+def test_python_char_classes_hold_every_codepoint_in_re2(entry_mod):
+    """The oracle's classes built from Python's ``re`` match, in DuckDB's
+    RE2, exactly the codepoints Python matches (NUL and surrogates aside)."""
+    import re
+
+    from chinese_corpus_cleaning_ray.functions.rules import SYMBOL_RE
+
+    for pattern in (SYMBOL_RE.pattern, r"\s"):
+        got = duckdb.sql(
+            "SELECT i FROM (SELECT i FROM range(1, 55296) t(i) "
+            "UNION ALL SELECT i FROM range(57344, 1114112) t(i)) "
+            f"WHERE regexp_matches(chr(CAST(i AS INTEGER)), '[{entry_mod._py_class_sql(pattern)}]') "
+            "ORDER BY i"
+        ).fetchnumpy()["i"]
+        rx = re.compile(pattern)
+        want = [i for i in range(1, 0x110000)
+                if not 0xD800 <= i <= 0xDFFF and rx.match(chr(i))]
+        assert got.tolist() == want, pattern

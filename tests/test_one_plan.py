@@ -174,6 +174,82 @@ def test_files_split_only_below_one_per_cpu(ray_session, tmp_path):
     assert layouts[0::2] == layouts[1::2]
 
 
+# ------------------------------------------------- operator reservation
+
+
+def test_job_plan_runs_without_op_reservation(ray_session, input_dir, cfg, tmp_path,
+                                              monkeypatch):
+    """Each chunk's one fused operator executes with Ray Data's per-operator
+    reservation off, on that Dataset's own context only."""
+    import ray.data as rd
+
+    from chinese_corpus_cleaning_ray.pipelines.quality import build_quality_pipeline
+    from chinese_corpus_cleaning_ray.state.checkpoint import run_quality_job
+
+    seen = []
+    to_pandas = rd.Dataset.to_pandas
+
+    def spy(self, *args, **kwargs):
+        seen.append(self.context.op_resource_reservation_enabled)
+        return to_pandas(self, *args, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "to_pandas", spy)
+    assert rd.DataContext.get_current().op_resource_reservation_enabled is True
+    assert run_quality_job(input_dir, str(tmp_path / "out"), cfg, checkpoint_every=2)["total"] == 3_000
+    assert seen == [False, False]  # two chunks
+    assert rd.DataContext.get_current().op_resource_reservation_enabled is True
+    # a caller chains more operators onto this one: it keeps reservation
+    ds = build_quality_pipeline(rd.from_items([{"text": "今天的天气非常好。"}]), cfg)
+    assert ds.context.op_resource_reservation_enabled is True
+
+
+def test_job_outputs_equal_with_op_reservation_on(ray_session, input_dir, cfg, tmp_path,
+                                                  monkeypatch):
+    from chinese_corpus_cleaning_ray.state import checkpoint
+
+    def manifests(out):
+        recs = [json.load(open(f)) for f in glob.glob(os.path.join(out, "_manifest", "*.json"))]
+        return sorted((r["stem"], r["counters"], r["per_partition"]) for r in recs)
+
+    off = str(tmp_path / "off")
+    checkpoint.run_quality_job(input_dir, off, cfg)
+    monkeypatch.setattr(checkpoint, "one_operator_plan", lambda ds: ds)
+    on = str(tmp_path / "on")
+    checkpoint.run_quality_job(input_dir, on, cfg)
+    assert _rows(off).equals(_rows(on))
+    assert manifests(off) == manifests(on)
+    assert len(_pieces(off)) == len(_pieces(on))
+
+
+# ---------------------------------------------------------- crash residue
+
+
+def test_resume_deletes_half_written_piece_residue(ray_session, input_dir, cfg, tmp_path):
+    """A crash between a piece's write and its rename leaves a hidden
+    ``.<stem>-<uuid>.tmp``; resume deletes those of this writer's stems,
+    committed or not, and leaves another writer's alone."""
+    from chinese_corpus_cleaning_ray.state.checkpoint import run_quality_job
+
+    out = str(tmp_path / "out")
+    first = run_quality_job(input_dir, out, cfg, exclusive=False)
+    stems = sorted(os.path.basename(f)[: -len(".parquet")]
+                   for f in glob.glob(os.path.join(input_dir, "*.parquet")))
+    os.remove(os.path.join(out, "_manifest", f"file-{stems[1]}.json"))
+    pdir = os.path.join(out, "data", "part_id=3")
+    planted = {s: os.path.join(pdir, f".{s}-0badc0de.tmp")
+               for s in (stems[0], stems[1], "other-writer-00001")}
+    for p in planted.values():
+        with open(p, "wb") as f:
+            f.write(b"PAR1 half a piece")
+
+    again = run_quality_job(input_dir, out, cfg, exclusive=False)
+    assert again["files_this_run"] == 1
+    assert {k: again[k] for k in ("total", "kept", "scrubbed")} == \
+        {k: first[k] for k in ("total", "kept", "scrubbed")}
+    assert [s for s, p in planted.items() if os.path.exists(p)] == ["other-writer-00001"]
+    assert glob.glob(os.path.join(out, "data", "*", f".{stems[1]}-*")) == []
+
+
 # -------------------------------------------------------------- stage cache
 
 

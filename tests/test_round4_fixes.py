@@ -297,6 +297,63 @@ def test_crawl_resume_redoes_same_size_rewrite(ray_session, tmp_path):
     assert run_crawl_job(str(tmp_path), out)["files_this_run"] == 0
 
 
+def test_crawl_outputs_equal_with_op_reservation_on(ray_session, tmp_path, monkeypatch):
+    """The crawl job's one fused operator runs without Ray Data's
+    per-operator reservation; its pieces and ``_done`` markers are the same
+    as with reservation on."""
+    import json
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from chinese_corpus_cleaning_ray.pipelines.crawl import run_crawl_job
+    from chinese_corpus_cleaning_ray.sources.warc import build_warc_record
+    from chinese_corpus_cleaning_ray.state import checkpoint
+
+    zh = "<html><body>" + "这里是一段高质量的中文网页正文内容，讨论分布式计算。" * 3 + "</body></html>"
+    en = "<html><body>" + "This is an english only page about nothing much at all. " * 3 + "</body></html>"
+    src = tmp_path / "warcs"
+    src.mkdir()
+    for s in range(6):  # shard 5 keeps no page
+        recs = [build_warc_record(f"http://s{s}p{i}.example/",
+                                  (zh if (s + i) % 2 == 0 and s < 5 else en).encode(), f"<u:{s}:{i}>")
+                for i in range(4)]
+        (src / f"shard{s}.warc").write_bytes(b"".join(recs))
+
+    def outputs(out):
+        pieces = {f: pq.read_table(os.path.join(out, f))
+                  for f in sorted(os.listdir(out)) if f.endswith(".parquet")}
+        markers = {}
+        for f in sorted(os.listdir(os.path.join(out, "_done"))):
+            rec = json.load(open(os.path.join(out, "_done", f)))
+            rec.pop("completed_at")
+            markers[f] = rec
+        return pieces, markers
+
+    seen = []
+    to_pandas = rd.Dataset.to_pandas
+
+    def spy(self, *args, **kwargs):
+        seen.append(self.context.op_resource_reservation_enabled)
+        return to_pandas(self, *args, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "to_pandas", spy)
+    off = str(tmp_path / "off")
+    stats_off = run_crawl_job(str(src), off)
+    assert seen == [False]
+    monkeypatch.setattr(checkpoint, "one_operator_plan", lambda ds: ds)
+    on = str(tmp_path / "on")
+    stats_on = run_crawl_job(str(src), on)
+    assert seen == [False, True]
+    assert {**stats_off, "out_dir": on} == stats_on
+    assert stats_on["pages_kept"] == 10 and stats_on["files_done"] == 6
+    pieces_off, markers_off = outputs(off)
+    pieces_on, markers_on = outputs(on)
+    assert markers_off == markers_on and len(markers_on) == 6
+    assert pieces_off.keys() == pieces_on.keys() and len(pieces_on) == 5
+    assert all(pieces_off[f].equals(pieces_on[f]) for f in pieces_on)
+
+
 def test_crawl_resume_sweeps_pieces_of_removed_inputs(ray_session, tmp_path):
     from chinese_corpus_cleaning_ray.pipelines.crawl import run_crawl_job
 
@@ -461,7 +518,8 @@ def test_token_stats_oracle_matches_kernel_on_unicode_whitespace():
     """The token-stats SQL oracle must agree with the Python kernels on
     texts containing UNICODE whitespace (U+3000 ideographic space, NBSP,
     NEL, LINE SEPARATOR): Python's \\s matches these, RE2's ASCII \\s does
-    not — the oracle's _PY_WS class closes that gap. Also covers empty
+    not — the oracle's ``_py_ws()`` class, built from Python's ``re``,
+    closes that gap (``\\x0b`` included). Also covers empty
     text (ratio guards), control separators, and emoji/punct mixes."""
     import duckdb
     import pyarrow as pa
@@ -480,6 +538,7 @@ def test_token_stats_oracle_matches_kernel_on_unicode_whitespace():
         "。。！？emoji\U0001F600mix，，",
         "的了是 在我有和 plain text 123 isn't",
         "ctrl\x1cseparators\x1ftoo",
+        "vertical\x0btab splits",
     ]
     docs = pa.table({"doc_id": list(range(len(texts))), "text": texts})
     con = duckdb.connect()
